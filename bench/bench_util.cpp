@@ -20,7 +20,7 @@ namespace nocw::bench {
 namespace {
 
 // Captured at static initialization, i.e. (close enough to) process start;
-// bench_manifest reports wall time relative to this.
+// write_summary stamps wall_ms relative to this.
 const std::chrono::steady_clock::time_point kProcessStart =
     std::chrono::steady_clock::now();
 
@@ -46,7 +46,6 @@ std::string summary_entry(const obs::RunManifest& m) {
      << obs::json_escape(m.build.count("git_sha") ? m.build.at("git_sha")
                                                   : "unknown")
      << "\",\"threads\":" << m.threads
-     << ",\"wall_seconds\":" << obs::json_number(m.wall_seconds)
      << ",\"metrics\":{";
   std::size_t i = 0;
   for (const auto& [k, v] : m.metrics) {
@@ -143,12 +142,7 @@ TrainedLenet trained_lenet(const std::string& cache_dir) {
 
 obs::RunManifest bench_manifest(const std::string& bench_name,
                                 const std::string& model) {
-  obs::RunManifest m = obs::make_manifest(bench_name, model);
-  m.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    kProcessStart)
-          .count();
-  return m;
+  return obs::make_manifest(bench_name, model);
 }
 
 void write_summary(const std::string& dir, const obs::RunManifest& m) {
@@ -178,10 +172,8 @@ void write_summary(const std::string& dir, const obs::RunManifest& m) {
   }
 
   // Stamp the bench's wall-clock cost as an informational metric (the
-  // regression gate treats *_ms keys as never-gating). Computed here, not
-  // from m.wall_seconds: manifests are often created at bench start, and
-  // write_summary runs at the end — the process-relative clock is the
-  // honest "how long did this bench take" number.
+  // regression gate treats *_ms keys as never-gating). Read here, at the
+  // end of the run, since manifests are often created at bench start.
   obs::RunManifest stamped = m;
   stamped.metrics["wall_ms"] =
       std::chrono::duration<double, std::milli>(

@@ -2,7 +2,7 @@
 //
 // Every bench prints its table(s) to stdout and mirrors them to
 // <exe-dir>/<name>.csv. Scale knobs come from the environment:
-//   REPRO_PROBES  probe inputs per model for accuracy evaluation (default 4)
+//   REPRO_PROBES  probe inputs per model for accuracy evaluation (default 6)
 //   REPRO_TRAIN   LeNet-5 training samples (default 1200)
 //   REPRO_EPOCHS  LeNet-5 training epochs (default 5)
 //   REPRO_WINDOW  NoC sampling window in flits (default 24000)
@@ -48,9 +48,9 @@ struct TrainedLenet {
 TrainedLenet trained_lenet(const std::string& cache_dir);
 
 /// Run manifest for this bench: provenance, environment and thread count
-/// pre-filled (obs::make_manifest), wall_seconds measured since process
-/// start. Benches add config strings / metrics (or let an evaluator's
-/// annotate_manifest do it) before handing it to write_summary.
+/// pre-filled (obs::make_manifest). Benches add config strings / metrics (or
+/// let an evaluator's annotate_manifest do it) before handing it to
+/// write_summary, which stamps the bench's wall time as metrics.wall_ms.
 obs::RunManifest bench_manifest(const std::string& bench_name,
                                 const std::string& model = "");
 
@@ -61,8 +61,8 @@ obs::RunManifest bench_manifest(const std::string& bench_name,
 ///    (default `<dir>/results/BENCH_summary.json`, path overridable via
 ///    NOCW_SUMMARY_JSON; schema nocw.bench_summary.v1, one bench per line
 ///    so independent binaries merge without a JSON parser).
-/// Every bench calls this exactly once — tools/lint.py's [manifest] rule
-/// enforces registration. This is the single writer of the summary file.
+/// Every bench calls this exactly once — the output.manifest rule of
+/// tools/nocw_analyze.py enforces registration. This is the single writer of the summary file.
 void write_summary(const std::string& dir, const obs::RunManifest& m);
 
 /// Convenience: bench_manifest(name, model) + metrics + write_summary.

@@ -90,9 +90,10 @@ class PacketLossError : public std::runtime_error {
 };
 
 /// Counter-based hash: a uniform 64-bit value determined purely by
-/// (seed, a, b, c). This is the only fault-sampling primitive; tools/lint.py
-/// bans calls outside src/noc/fault.cpp so all stochastic fault behaviour
-/// stays reproducible from a single seed.
+/// (seed, a, b, c). This is the only fault-sampling primitive; the
+/// determinism.fault-hash rule of tools/nocw_analyze.py bans calls outside
+/// src/noc/fault.cpp so all stochastic fault behaviour stays reproducible
+/// from a single seed.
 [[nodiscard]] std::uint64_t fault_hash(std::uint64_t seed, std::uint64_t a,
                                        std::uint64_t b,
                                        std::uint64_t c) noexcept;

@@ -1,8 +1,9 @@
 // Route computation for the mesh: DOR plus a fault-aware west-first table.
 //
-// All next-hop decisions in the repo flow through this module (tools/lint.py
-// `[route]` bans dor_next_hop() elsewhere): Router::route() delegates to
-// dor_next_hop() when no table is installed, or to a RouteTable built here.
+// All next-hop decisions in the repo flow through this module (the
+// layering.route rule of tools/nocw_analyze.py bans dor_next_hop()
+// elsewhere): Router::route() delegates to dor_next_hop() when no table is
+// installed, or to a RouteTable built here.
 //
 // The adaptive mode is the west-first turn model (Glass & Ni): the turns
 // N→W and S→W are forbidden, so any westward travel must be a prefix of the
@@ -28,7 +29,7 @@
 namespace nocw::noc {
 
 /// Dimension-order next hop for `node` toward `dst` under cfg.routing.
-/// The one DOR formula in the tree (lint rule [route]).
+/// The one DOR formula in the tree (layering.route rule).
 [[nodiscard]] int dor_next_hop(const NocConfig& cfg, int node,
                                int dst) noexcept;
 

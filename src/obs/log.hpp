@@ -5,8 +5,9 @@
 // those through obs::log() instead of raw printf gives one switch — NOCW_QUIET
 // — that silences every progress line at once (CI logs, scripted sweeps),
 // while result tables keep flowing through bench::emit / util/table. The
-// repo lint bans std::printf in bench/ outside the sanctioned emission point,
-// so a new progress print cannot quietly bypass the switch.
+// output.print rule of tools/nocw_analyze.py bans std::printf in bench/
+// outside the sanctioned emission point, so a new progress print cannot
+// quietly bypass the switch.
 #pragma once
 
 #include <cstdarg>

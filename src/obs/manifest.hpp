@@ -32,8 +32,7 @@ struct RunManifest {
   /// Tier-1 metric summary (latency cycles, energy joules, accuracy, ...).
   std::map<std::string, double> metrics;
 
-  int threads = 0;           ///< resolved worker count (NOCW_THREADS)
-  double wall_seconds = 0.0; ///< driver wall time, informational
+  int threads = 0;  ///< resolved worker count (NOCW_THREADS)
 
   /// Line-wise JSON: {"schema":...}\n then one "key":value line per field.
   [[nodiscard]] std::string to_json() const;

@@ -27,7 +27,8 @@ const char* kind_name(MetricKind k) noexcept {
 
 bool unit_allowed(std::string_view unit) noexcept {
   // The vocabulary lives in src/util/units_vocab.inc — one definition shared
-  // with units.hpp's dimension tags and the tools/lint.py [metric] rule.
+  // with units.hpp's dimension tags and the units.vocab rule of
+  // tools/nocw_analyze.py.
   return units::vocab_has(unit);
 }
 

@@ -9,8 +9,8 @@
 // exports to JSON and CSV in one call. Snapshot bridges (obs/noc_stats_bridge,
 // obs/report) copy the structs in; nothing in a simulation hot path touches a
 // registry. Unit strings are validated both here (NOCW_CHECK) and statically
-// by tools/lint.py's [metric] rule, so a pJ/J-style mix-up cannot ship under
-// an unlabeled name.
+// by the units.vocab rule of tools/nocw_analyze.py, so a pJ/J-style mix-up
+// cannot ship under an unlabeled name.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +27,9 @@ namespace nocw::obs {
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
-/// The closed unit vocabulary. Kept in sync with tools/lint.py
-/// (METRIC_UNITS); the lint self-test fails if a unit is accepted here that
-/// the static rule would reject.
+/// The closed unit vocabulary of src/util/units_vocab.inc, the same list the
+/// static units.vocab rule (tools/nocw_analyze.py) reads, so the run-time
+/// and static checks accept exactly the same units.
 [[nodiscard]] bool unit_allowed(std::string_view unit) noexcept;
 
 /// One exported metric. Counters/gauges carry `value`; histograms carry the

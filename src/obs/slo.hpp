@@ -25,8 +25,8 @@
 // holds no clocks or RNG, and its windows/burns are pure functions of the
 // (class, cycle, latency, trace id) stream — bit-identical across
 // NOCW_THREADS. Window math (slo_window_start) is confined to obs/slo by
-// tools/lint.py's [slo] rule so no second, subtly different window
-// alignment can appear elsewhere.
+// the layering.slo rule of tools/nocw_analyze.py so no second, subtly
+// different window alignment can appear elsewhere.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,7 @@ namespace nocw::obs {
 class Registry;
 
 /// Start cycle of the tumbling window containing `cycle`. The only window
-/// alignment primitive in the tree ([slo] lint rule).
+/// alignment primitive in the tree (layering.slo rule).
 [[nodiscard]] std::uint64_t slo_window_start(std::uint64_t cycle,
                                              std::uint64_t window) noexcept;
 

@@ -80,11 +80,11 @@ struct TraceEvent {
 struct TraceContext;  // obs/trace_context.hpp
 
 /// Copy `ctx` onto `ev`'s attribution fields. Lives here (not in callers)
-/// so tools/lint.py's [trace-ctx] rule can pin raw trace-id writes to the
-/// trace plumbing itself.
+/// so the layering.trace-ctx rule (tools/nocw_analyze.py) can pin raw
+/// trace-id writes to the trace plumbing itself.
 void stamp(TraceEvent& ev, const TraceContext& ctx) noexcept;
 /// Raw-id overload for re-emitting stored span trees (serve/reqtrace):
-/// same lint boundary, no TraceContext required.
+/// same layering boundary, no TraceContext required.
 void stamp(TraceEvent& ev, std::uint64_t trace_id, std::uint64_t span_id,
            std::uint64_t parent_span_id) noexcept;
 

@@ -5,8 +5,9 @@
 // and the span id of its parent. Ids are *derived*, never drawn from a
 // clock or an RNG: the serving layer mints the root pair from its
 // counter-based arrival hash (serve/trace_ids.hpp — the only sanctioned
-// mint, enforced by tools/lint.py's [trace-ctx] rule), and every child id
-// is a pure function of (parent span id, child slot) via derive_child().
+// mint, enforced by the layering.trace-ctx rule of tools/nocw_analyze.py),
+// and every child id is a pure function of (parent span id, child slot) via
+// derive_child().
 // Two runs of the same workload therefore produce bit-identical id trees
 // at any NOCW_THREADS, and a span id seen in a Perfetto export can be
 // matched against the nocw.reqtrace.v1 JSON without any join table.

@@ -68,8 +68,9 @@ struct Arrival {
 
 /// Counter-based uniform hash for arrival sampling: a pure function of
 /// (seed, a, b, c), mirroring noc::fault_hash's role for fault decisions.
-/// tools/lint.py keeps fault sampling inside noc/fault.cpp; serving has its
-/// own primitive so the two stochastic domains can never share a stream.
+/// The determinism.fault-hash rule keeps fault sampling inside noc/fault.cpp;
+/// serving has its own primitive so the two stochastic domains can never
+/// share a stream.
 [[nodiscard]] std::uint64_t arrival_hash(std::uint64_t seed, std::uint64_t a,
                                          std::uint64_t b,
                                          std::uint64_t c) noexcept;

@@ -18,7 +18,7 @@
 // (class profile, batch geometry, arrival cycle) and the export is
 // bit-identical across NOCW_THREADS and immune to ring-buffer drops. Span
 // ids follow the deterministic derivation of obs/trace_context: root ids
-// minted by serve::request_trace_context (the [trace-ctx] lint boundary),
+// minted by serve::request_trace_context (the layering.trace-ctx boundary),
 // child slots fixed by this file's layout (1 = queue wait, 2 = service,
 // 3+i = layer i, phase children 1..4 under each layer).
 //

@@ -13,7 +13,7 @@
 // in arrival order.
 //
 // Service cost comes from the per-class ServiceProfile the constructor
-// precomputes through the audited AcceleratorSim (the [serve] lint rule
+// precomputes through the audited AcceleratorSim (the layering.serve rule
 // pins direct simulate() calls to this driver): a batch of n costs
 // full + (n-1)*marginal cycles. The loop itself is serial and pure — the
 // only parallelism lives inside AcceleratorSim, which is bit-identical

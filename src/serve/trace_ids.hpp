@@ -2,8 +2,8 @@
 //
 // Every request's span tree hangs off exactly one root TraceContext, and
 // this helper is the only place allowed to construct one from scratch
-// (tools/lint.py's [trace-ctx] rule pins TraceContext construction here and
-// inside the obs trace plumbing). The root ids are derived from
+// (the layering.trace-ctx rule of tools/nocw_analyze.py pins TraceContext
+// construction here and inside the obs trace plumbing). The root ids are derived from
 // serve::arrival_hash — the same counter-based stream that times the
 // arrivals — keyed by (trace seed, request id), so the whole id tree for a
 // workload is a pure function of the sweep configuration: bit-identical

@@ -10,12 +10,12 @@ Inputs are the JSON artifacts every bench writes through bench_util:
                        named by its "tool" field.
 
 Metrics are classified by name, because the repo's metric names are a
-closed, suffix-disciplined vocabulary (see tools/lint.py [metric] and
-DESIGN.md §10):
+closed, suffix-disciplined vocabulary (see the units.vocab rule of
+tools/nocw_analyze.py and DESIGN.md §10):
 
   informational   wall-clock and throughput numbers that vary with the host
                   machine (substrings: _ms, seconds, gflops, speedup,
-                  wall_seconds, flops). Reported, never gated.
+                  flops). Reported, never gated.
   lower-better    latency, energy, cycles, _j, overhead, dropped, drops,
                   shed, burn, breach — an increase beyond tolerance is a
                   regression (SLO burn rates, breached-window counts and
