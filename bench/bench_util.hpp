@@ -13,7 +13,11 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "accel/simulator.hpp"
+#include "eval/flow.hpp"
+#include "eval/serving.hpp"
 #include "nn/digits.hpp"
 #include "nn/models.hpp"
 #include "obs/manifest.hpp"
@@ -37,6 +41,9 @@ std::string output_dir(const char* argv0);
 void emit(const std::string& title, const Table& table,
           const std::string& dir, const std::string& slug);
 
+/// Write a bench's trace or time-series artifact (`body`) to `path`.
+void write_artifact(const std::string& path, const std::string& body);
+
 /// LeNet-5 trained on the procedural digit set. Trains once per build tree:
 /// the checkpoint is cached at `<dir>/lenet5_trained.weights` and reloaded
 /// by every subsequent bench. Returns the model and its held-out test set.
@@ -54,7 +61,9 @@ TrainedLenet trained_lenet(const std::string& cache_dir);
 obs::RunManifest bench_manifest(const std::string& bench_name,
                                 const std::string& model = "");
 
-/// Record a bench's headline results:
+/// Record a bench's headline results — the one channel through which a
+/// bench reports numbers. After stamping the bench's wall time as
+/// metrics.wall_ms it
 ///  - writes `<dir>/results/run_<tool>.json`, the bench's provenance
 ///    manifest (schema nocw.manifest.v1);
 ///  - upserts one `"<tool>": {...}` line into the aggregated summary
@@ -76,5 +85,53 @@ void write_summary(const std::string& dir, const std::string& bench_name,
 /// registered twice by accident, so each repeat warns on stderr and bumps
 /// this counter (exposed for tests).
 std::uint64_t duplicate_summary_writes();
+
+/// Latency and energy of one baseline inference of `summary` on `sim`, then
+/// one inference per δ point with only `layer`'s weight stream replaced by
+/// that point's compression, in grid order. Two sweeps compare equal only
+/// when every number matches bit-for-bit: the A/B identity gates of
+/// ext_engine_speed and ext_degradation.
+struct DeltaSweep {
+  std::vector<double> latency_cycles;
+  std::vector<double> energy_j;
+  bool operator==(const DeltaSweep&) const = default;
+};
+DeltaSweep simulate_delta_sweep(const accel::AcceleratorSim& sim,
+                                const accel::ModelSummary& summary,
+                                const std::string& layer,
+                                const std::vector<eval::DeltaPoint>& points);
+
+/// `v`, or 0 when it is not finite (the latency percentiles of a class
+/// that completed nothing are NaN).
+double finite_or_zero(double v);
+
+/// Grid-point key of an offered load: 0.9 -> "l090".
+std::string load_key(double load);
+
+/// Every number of a serving sweep: capacity_rps, per-class
+/// profile.<class>.{full,marginal}_cycles, and per grid point
+/// "<scheduler>.<load_key>[.<class>].<field>" for the aggregate and each
+/// class (offered, completed, shed, shed_rate, p50/p99/p999/mean_cycles)
+/// plus the point's goodput_rps, batches, mean_batch_size and
+/// makespan_cycles. Two sweeps are bit-identical iff their flattenings are
+/// equal.
+std::map<std::string, double> flatten(const eval::ServingSweepResult& r);
+
+/// The serving benches' workload (DESIGN.md §14): three request classes on
+/// one accelerator —
+///   lenet_d0   LeNet-5, uncompressed         (tenant 0, weight 4, 45%)
+///   lenet_d8   LeNet-5, δ=8% compressed      (tenant 0, weight 4, 35%)
+///   alexnet_d0 AlexNet, uncompressed         (tenant 1, weight 1, 20%)
+/// — and the sweep settings both benches share (NoC window, queue bound 64,
+/// batches of <= 4 held <= 200k cycles). Tenant 0 is the interactive
+/// majority; AlexNet is the heavy tenant whose head-of-line blocking
+/// SJF/priority exist to cut. Trains or loads LeNet-5 from `dir` and
+/// records the evaluator, the δ=8% accuracy and each class's tenant in `m`.
+struct ServingWorkload {
+  std::vector<serve::RequestClass> classes;
+  eval::ServingSweepConfig config;
+};
+ServingWorkload serving_workload(const std::string& dir,
+                                 obs::RunManifest& m);
 
 }  // namespace nocw::bench

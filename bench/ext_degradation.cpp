@@ -27,32 +27,15 @@ namespace {
 
 using namespace nocw;
 
-struct ArmResult {
-  /// Baseline first, then one entry per δ point, in grid order.
-  std::vector<double> latency_cycles;
-  std::vector<double> energy_j;
-};
-
-ArmResult run_arm(noc::RouteMode mode, const accel::ModelSummary& summary,
-                  const eval::DeltaEvaluator& ev,
-                  const std::vector<eval::DeltaPoint>& points) {
+bench::DeltaSweep route_arm(noc::RouteMode mode,
+                            const accel::ModelSummary& summary,
+                            const std::string& layer,
+                            const std::vector<eval::DeltaPoint>& points) {
   accel::AccelConfig cfg;
   cfg.noc_window_flits = bench::noc_window();
   cfg.noc.resilience.route_mode = mode;
-  accel::AcceleratorSim sim(cfg);
-
-  ArmResult out;
-  const accel::InferenceResult base = sim.simulate(summary);
-  out.latency_cycles.push_back(base.latency.total().value());
-  out.energy_j.push_back(base.energy.total().value());
-  for (const eval::DeltaPoint& p : points) {
-    accel::CompressionPlan plan;
-    plan[ev.selected_layer()] = p.compression;
-    const accel::InferenceResult comp = sim.simulate(summary, &plan);
-    out.latency_cycles.push_back(comp.latency.total().value());
-    out.energy_j.push_back(comp.energy.total().value());
-  }
-  return out;
+  return bench::simulate_delta_sweep(accel::AcceleratorSim(cfg), summary,
+                                     layer, points);
 }
 
 }  // namespace
@@ -70,14 +53,10 @@ int main(int, char** argv) {
   const accel::ModelSummary summary = accel::summarize(lenet.model);
 
   // --- (1) zero-fault equivalence gate ----------------------------------
-  const ArmResult dor = run_arm(noc::RouteMode::Dor, summary, ev, points);
-  const ArmResult wf = run_arm(noc::RouteMode::WestFirst, summary, ev,
-                               points);
-  bool identical = dor.latency_cycles.size() == wf.latency_cycles.size();
-  for (std::size_t i = 0; identical && i < dor.latency_cycles.size(); ++i) {
-    identical = dor.latency_cycles[i] == wf.latency_cycles[i] &&
-                dor.energy_j[i] == wf.energy_j[i];
-  }
+  const bool identical =
+      route_arm(noc::RouteMode::Dor, summary, ev.selected_layer(), points) ==
+      route_arm(noc::RouteMode::WestFirst, summary, ev.selected_layer(),
+                points);
 
   // --- (2) survival curves under permanent router faults ----------------
   eval::DegradationConfig dcfg;

@@ -25,37 +25,25 @@ namespace {
 
 using namespace nocw;
 
-struct ArmResult {
+struct Arm {
   double wall_ms = 0.0;
-  /// Baseline first, then one entry per δ point, in grid order.
-  std::vector<double> latency_cycles;
-  std::vector<double> energy_j;
+  bench::DeltaSweep sweep;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 };
 
-ArmResult run_arm(noc::EngineMode engine, bool reuse_phases,
-                  const accel::ModelSummary& summary,
-                  const eval::DeltaEvaluator& ev,
-                  const std::vector<eval::DeltaPoint>& points) {
+Arm run_arm(noc::EngineMode engine, bool reuse_phases,
+            const accel::ModelSummary& summary, const std::string& layer,
+            const std::vector<eval::DeltaPoint>& points) {
   accel::AccelConfig cfg;
   cfg.noc_window_flits = bench::noc_window();
   cfg.noc.engine = engine;
   cfg.reuse_noc_phases = reuse_phases;
-  accel::AcceleratorSim sim(cfg);
+  const accel::AcceleratorSim sim(cfg);
 
-  ArmResult out;
+  Arm out;
   const auto t0 = std::chrono::steady_clock::now();
-  const accel::InferenceResult base = sim.simulate(summary);
-  out.latency_cycles.push_back(base.latency.total().value());
-  out.energy_j.push_back(base.energy.total().value());
-  for (const eval::DeltaPoint& p : points) {
-    accel::CompressionPlan plan;
-    plan[ev.selected_layer()] = p.compression;
-    const accel::InferenceResult comp = sim.simulate(summary, &plan);
-    out.latency_cycles.push_back(comp.latency.total().value());
-    out.energy_j.push_back(comp.energy.total().value());
-  }
+  out.sweep = bench::simulate_delta_sweep(sim, summary, layer, points);
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -81,17 +69,13 @@ int main(int, char** argv) {
   const std::vector<eval::DeltaPoint> points = ev.evaluate_many(grid);
   const accel::ModelSummary summary = accel::summarize(lenet.model);
 
-  const ArmResult dense = run_arm(noc::EngineMode::Dense,
-                                  /*reuse_phases=*/false, summary, ev, points);
-  const ArmResult event = run_arm(noc::EngineMode::Event,
-                                  /*reuse_phases=*/true, summary, ev, points);
+  const Arm dense = run_arm(noc::EngineMode::Dense, /*reuse_phases=*/false,
+                            summary, ev.selected_layer(), points);
+  const Arm event = run_arm(noc::EngineMode::Event, /*reuse_phases=*/true,
+                            summary, ev.selected_layer(), points);
 
   // Equivalence gate: the event engine and the cache are speed levers only.
-  bool identical = dense.latency_cycles.size() == event.latency_cycles.size();
-  for (std::size_t i = 0; identical && i < dense.latency_cycles.size(); ++i) {
-    identical = dense.latency_cycles[i] == event.latency_cycles[i] &&
-                dense.energy_j[i] == event.energy_j[i];
-  }
+  const bool identical = dense.sweep == event.sweep;
   const double speedup =
       event.wall_ms > 0.0 ? dense.wall_ms / event.wall_ms : 0.0;
 
@@ -100,13 +84,13 @@ int main(int, char** argv) {
   t.add_row({"dense", fmt_fixed(dense.wall_ms, 1), "1.00",
              std::to_string(dense.cache_hits),
              std::to_string(dense.cache_misses),
-             fmt_fixed(dense.latency_cycles.front(), 0),
-             fmt_fixed(dense.latency_cycles.back(), 0)});
+             fmt_fixed(dense.sweep.latency_cycles.front(), 0),
+             fmt_fixed(dense.sweep.latency_cycles.back(), 0)});
   t.add_row({"event", fmt_fixed(event.wall_ms, 1), fmt_fixed(speedup, 2),
              std::to_string(event.cache_hits),
              std::to_string(event.cache_misses),
-             fmt_fixed(event.latency_cycles.front(), 0),
-             fmt_fixed(event.latency_cycles.back(), 0)});
+             fmt_fixed(event.sweep.latency_cycles.front(), 0),
+             fmt_fixed(event.sweep.latency_cycles.back(), 0)});
   bench::emit("Engine speed: dense reference vs event-driven δ-sweep", t,
               dir, "ext_engine_speed");
 

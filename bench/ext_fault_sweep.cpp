@@ -4,7 +4,8 @@
 // quantifies the fragility that compression adds (one flipped bit corrupts a
 // whole ⟨m, q, len⟩ segment) and prices the recovery hardware on the
 // cycle-accurate simulator. Deterministic for a fixed seed: the table, CSV
-// and BENCH_fault.json are bit-identical across runs and NOCW_THREADS.
+// and the summary's ber<BER>.d<δ>.* grid are bit-identical across runs and
+// NOCW_THREADS.
 #include "bench_util.hpp"
 
 #include "eval/fault_sweep.hpp"
@@ -54,63 +55,32 @@ int main(int, char** argv) {
   bench::emit("Extension: accuracy under faults, CRC+retransmission cost", t,
               dir, "ext_fault_sweep");
 
-  // Machine-readable mirror for CI artifacts. Deterministic fields only.
-  const std::string json_path =
-      env_string("NOCW_FAULT_JSON", "BENCH_fault.json");
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"selected_layer\": \"%s\",\n",
-               sweep.selected_layer.c_str());
-  std::fprintf(f, "  \"baseline_accuracy\": %.6f,\n",
-               sweep.baseline_accuracy);
-  std::fprintf(f, "  \"fault_seed\": %llu,\n",
-               static_cast<unsigned long long>(cfg.fault_seed));
-  std::fprintf(f, "  \"trials\": %d,\n", cfg.trials);
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const auto& p = sweep.points[i];
-    std::fprintf(
-        f,
-        "    {\"ber\": %.1e, \"delta_percent\": %.1f,"
-        " \"accuracy_clean\": %.6f, \"accuracy_uncompressed\": %.6f,"
-        " \"accuracy_compressed\": %.6f, \"accuracy_protected\": %.6f,"
-        " \"corrupted_segment_fraction\": %.6f,"
-        " \"unprotected_cycles\": %.0f, \"protected_cycles\": %.0f,"
-        " \"unprotected_energy_j\": %.8e, \"protected_energy_j\": %.8e,"
-        " \"crc_failures\": %llu, \"retransmissions\": %llu,"
-        " \"packets_dropped\": %llu}%s\n",
-        p.bit_error_rate, p.delta_percent, p.accuracy_clean,
-        p.accuracy_uncompressed, p.accuracy_compressed, p.accuracy_protected,
-        p.corrupted_segment_fraction, p.unprotected_cycles.value(),
-        p.protected_cycles.value(), p.unprotected_energy_j.value(),
-        p.protected_energy_j.value(),
-        static_cast<unsigned long long>(p.crc_failures),
-        static_cast<unsigned long long>(p.retransmissions),
-        static_cast<unsigned long long>(p.packets_dropped),
-        i + 1 < sweep.points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  obs::log("fault-sweep results written to %s\n", json_path.c_str());
-
-  std::map<std::string, double> metrics{
-      {"baseline_accuracy", sweep.baseline_accuracy}};
+  obs::RunManifest man = bench::bench_manifest("ext_fault_sweep",
+                                               lenet.model.name);
+  man.config["selected_layer"] = sweep.selected_layer;
+  man.metrics["baseline_accuracy"] = sweep.baseline_accuracy;
+  man.metrics["fault_seed"] = static_cast<double>(cfg.fault_seed);
+  man.metrics["trials"] = cfg.trials;
   for (const auto& p : sweep.points) {
-    // Headline rows: the worst BER at each δ.
-    if (p.bit_error_rate == cfg.bit_error_rates.back()) {
-      const std::string key = "d" + fmt_fixed(p.delta_percent, 0) + ".";
-      metrics[key + "accuracy_protected"] = p.accuracy_protected;
-      metrics[key + "accuracy_compressed"] = p.accuracy_compressed;
-      metrics[key + "protected_cycles"] = p.protected_cycles.value();
-      metrics[key + "retransmissions"] =
-          static_cast<double>(p.retransmissions);
-    }
+    const std::string key = "ber" + fmt_sci(p.bit_error_rate, 0) + ".d" +
+                            fmt_fixed(p.delta_percent, 0) + ".";
+    man.metrics[key + "accuracy_clean"] = p.accuracy_clean;
+    man.metrics[key + "accuracy_uncompressed"] = p.accuracy_uncompressed;
+    man.metrics[key + "accuracy_compressed"] = p.accuracy_compressed;
+    man.metrics[key + "accuracy_protected"] = p.accuracy_protected;
+    man.metrics[key + "corrupted_segment_fraction"] =
+        p.corrupted_segment_fraction;
+    man.metrics[key + "unprotected_cycles"] = p.unprotected_cycles.value();
+    man.metrics[key + "protected_cycles"] = p.protected_cycles.value();
+    man.metrics[key + "unprotected_energy_j"] =
+        p.unprotected_energy_j.value();
+    man.metrics[key + "protected_energy_j"] = p.protected_energy_j.value();
+    man.metrics[key + "crc_failures"] = static_cast<double>(p.crc_failures);
+    man.metrics[key + "retransmissions"] =
+        static_cast<double>(p.retransmissions);
+    man.metrics[key + "packets_dropped"] =
+        static_cast<double>(p.packets_dropped);
   }
-  bench::write_summary(dir, "ext_fault_sweep", metrics, lenet.model.name);
+  bench::write_summary(dir, man);
   return 0;
 }

@@ -1,8 +1,8 @@
 // Request tracing + SLO gate: causal span trees, tail sampling and the
 // streaming SLO monitor over the serving sweep (DESIGN.md §15).
 //
-// Workload: the ext_serving class mix (lenet_d0 / lenet_d8 / alexnet_d0)
-// on a smaller load x scheduler grid, run twice per arm — plain
+// Workload: bench::serving_workload, ext_serving's class mix
+// (lenet_d0 / lenet_d8 / alexnet_d0), on a smaller load x scheduler grid, run twice per arm — plain
 // (run_serving_sweep, the PR 9 path) and observed
 // (run_observed_serving_sweep: SLO monitor + trace sink hooked into every
 // point).
@@ -20,10 +20,10 @@
 //   Determinism: slo + reqtrace JSON exports byte-identical across arms.
 //
 // Outputs: summary metrics (per-point windows_breached / max_burn_1w +
-// overhead for obs_diff), BENCH_reqtrace.json (nocw.reqtrace.v1, override
-// NOCW_REQTRACE_JSON) and results/slo_windows.json (nocw.slo.v1) for the
-// overloaded FIFO point, results/reqtrace_tail.json (Perfetto tree of the
-// worst tail request).
+// overhead for obs_diff); for the overloaded FIFO point,
+// results/reqtrace.json (nocw.reqtrace.v1) and results/slo_windows.json
+// (nocw.slo.v1); results/reqtrace_tail.json (Perfetto tree of the worst
+// tail request).
 #include "bench_util.hpp"
 
 #include <algorithm>
@@ -34,66 +34,16 @@
 #include <string>
 #include <vector>
 
-#include "accel/summary.hpp"
-#include "eval/flow.hpp"
 #include "eval/serving.hpp"
-#include "nn/models.hpp"
-#include "obs/jsonfmt.hpp"
 #include "obs/log.hpp"
 #include "obs/trace_export.hpp"
 #include "serve/reqtrace.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace nocw;
-
-double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
-
-std::string load_key(double load) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "l%03d",
-                static_cast<int>(std::lround(load * 100.0)));
-  return buf;
-}
-
-/// Exhaustive flattening of a sweep result (ext_serving's shape): the
-/// bit-identity comparison between the plain and observed paths.
-std::map<std::string, double> flatten(const eval::ServingSweepResult& r) {
-  std::map<std::string, double> out;
-  out["capacity_rps"] = r.capacity_rps;
-  for (std::size_t c = 0; c < r.profiles.size(); ++c) {
-    const std::string base = "profile." + r.class_names[c];
-    out[base + ".full_cycles"] =
-        static_cast<double>(r.profiles[c].full_cycles.value());
-    out[base + ".marginal_cycles"] =
-        static_cast<double>(r.profiles[c].marginal_cycles.value());
-  }
-  for (const eval::ServingPoint& pt : r.points) {
-    const std::string base = pt.scheduler + "." + load_key(pt.offered_load);
-    const auto add_class = [&](const std::string& key,
-                               const serve::ClassServeStats& s) {
-      out[key + ".offered"] = static_cast<double>(s.offered);
-      out[key + ".completed"] = static_cast<double>(s.completed);
-      out[key + ".shed"] = static_cast<double>(s.shed);
-      out[key + ".shed_rate"] = s.shed_rate;
-      out[key + ".p50_cycles"] = finite_or_zero(s.latency.p50);
-      out[key + ".p99_cycles"] = finite_or_zero(s.latency.p99);
-      out[key + ".p999_cycles"] = finite_or_zero(s.latency.p999);
-      out[key + ".mean_cycles"] = finite_or_zero(s.latency.mean);
-    };
-    add_class(base, pt.result.aggregate);
-    for (const serve::ClassServeStats& s : pt.result.per_class) {
-      add_class(base + "." + s.name, s);
-    }
-    out[base + ".goodput_rps"] = pt.result.goodput_rps;
-    out[base + ".batches"] = static_cast<double>(pt.result.batches);
-    out[base + ".mean_batch_size"] = pt.result.mean_batch_size;
-    out[base + ".makespan_cycles"] =
-        static_cast<double>(pt.result.makespan.value());
-  }
-  return out;
-}
 
 /// Byte-stable digest of every point's slo + reqtrace export, for the
 /// cross-arm determinism comparison.
@@ -101,7 +51,7 @@ std::string observability_digest(const eval::ObservedSweepResult& obs) {
   std::string out;
   for (std::size_t i = 0; i < obs.sweep.points.size(); ++i) {
     out += obs.sweep.points[i].scheduler + "." +
-           load_key(obs.sweep.points[i].offered_load) + "\n";
+           bench::load_key(obs.sweep.points[i].offered_load) + "\n";
     out += obs.slo[i].to_json();
     out += obs.sinks[i].to_json();
   }
@@ -113,71 +63,26 @@ double elapsed_s(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-void write_file(const std::string& path, const std::string& body,
-                const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  obs::log("[reqtrace] wrote %s (%s)\n", path.c_str(), what);
-}
-
 }  // namespace
 
 int main(int, char** argv) {
   const std::string dir = bench::output_dir(argv[0]);
   obs::RunManifest man = bench::bench_manifest("ext_reqtrace", "LeNet-5");
 
-  // --- workload classes (ext_serving's mix) -----------------------------
-  bench::TrainedLenet lenet = bench::trained_lenet(dir);
-  eval::EvalConfig ecfg;
-  ecfg.topk = 1;
-  eval::DeltaEvaluator ev(lenet.model, lenet.test, ecfg);
-  const eval::DeltaPoint d8 = ev.evaluate(8.0);
-  const accel::ModelSummary lenet_summary = accel::summarize(lenet.model);
-  nn::Model alexnet = nn::make_alexnet();
-  const accel::ModelSummary alexnet_summary = accel::summarize(alexnet);
-
-  std::vector<serve::RequestClass> classes(3);
-  classes[0].name = "lenet_d0";
-  classes[0].tenant = 0;
-  classes[0].tenant_weight = 4.0;
-  classes[0].mix_fraction = 0.45;
-  classes[0].summary = lenet_summary;
-  classes[1].name = "lenet_d8";
-  classes[1].tenant = 0;
-  classes[1].tenant_weight = 4.0;
-  classes[1].mix_fraction = 0.35;
-  classes[1].summary = lenet_summary;
-  classes[1].plan[ev.selected_layer()] = d8.compression;
-  classes[2].name = "alexnet_d0";
-  classes[2].tenant = 1;
-  classes[2].tenant_weight = 1.0;
-  classes[2].mix_fraction = 0.20;
-  classes[2].summary = alexnet_summary;
-
-  eval::ServingSweepConfig cfg;
+  bench::ServingWorkload w = bench::serving_workload(dir, man);
+  const std::vector<serve::RequestClass>& classes = w.classes;
+  eval::ServingSweepConfig& cfg = w.config;
   cfg.offered_loads = {0.6, 0.9, 1.3};
   cfg.schedulers = {"fifo", "sjf"};
   cfg.requests_per_point =
       static_cast<int>(env_int("REPRO_REQTRACE_REQUESTS", 800, 10));
-  cfg.serve.accel.noc_window_flits = bench::noc_window();
-  cfg.serve.queue.capacity = 64;
-  cfg.serve.batch.max_batch = 4;
-  cfg.serve.batch.max_wait = units::Cycles{200'000};
 
   // --- reference run + SLO policy derived from the profiled classes -----
   set_global_threads(1);
   auto t0 = std::chrono::steady_clock::now();
   const eval::ServingSweepResult plain = eval::run_serving_sweep(classes, cfg);
   std::vector<double> plain_s{elapsed_s(t0)};
-  const std::map<std::string, double> reference = flatten(plain);
+  const std::map<std::string, double> reference = bench::flatten(plain);
 
   std::uint64_t max_full = 0;
   for (const serve::ServiceProfile& p : plain.profiles) {
@@ -212,7 +117,7 @@ int main(int, char** argv) {
     eval::ObservedSweepResult o =
         eval::run_observed_serving_sweep(classes, ocfg);
     observed_s.push_back(elapsed_s(t0));
-    if (flatten(o.sweep) != reference) sweep_identical = false;
+    if (bench::flatten(o.sweep) != reference) sweep_identical = false;
     const std::string digest = observability_digest(o);
     if (rep == 0) {
       digest0 = digest;
@@ -225,7 +130,7 @@ int main(int, char** argv) {
       const eval::ServingSweepResult again =
           eval::run_serving_sweep(classes, cfg);
       plain_s.push_back(elapsed_s(t0));
-      if (flatten(again) != reference) sweep_identical = false;
+      if (bench::flatten(again) != reference) sweep_identical = false;
     }
   }
 
@@ -283,7 +188,7 @@ int main(int, char** argv) {
     }
     hooked_loop_s += elapsed_s(t0);
   }
-  const double plain_med = median(plain_s);
+  const double plain_med = percentile(plain_s, 50.0);
   const double extra_per_sweep_s =
       (hooked_loop_s - plain_loop_s) / static_cast<double>(loop_reps);
   const double overhead =
@@ -294,7 +199,7 @@ int main(int, char** argv) {
     set_global_threads(threads);
     eval::ObservedSweepResult o =
         eval::run_observed_serving_sweep(classes, ocfg);
-    if (flatten(o.sweep) != reference) sweep_identical = false;
+    if (bench::flatten(o.sweep) != reference) sweep_identical = false;
     if (observability_digest(o) != digest0) deterministic = false;
   }
   set_global_threads(1);
@@ -338,15 +243,15 @@ int main(int, char** argv) {
       artifact_point = i;
     }
   }
-  write_file(env_string("NOCW_REQTRACE_JSON", "BENCH_reqtrace.json"),
-             obs0.sinks[artifact_point].to_json(), "nocw.reqtrace.v1");
-  write_file(dir + "/results/slo_windows.json",
-             obs0.slo[artifact_point].to_json(), "nocw.slo.v1");
+  bench::write_artifact(dir + "/results/reqtrace.json",
+                        obs0.sinks[artifact_point].to_json());
+  bench::write_artifact(dir + "/results/slo_windows.json",
+                        obs0.slo[artifact_point].to_json());
   if (!obs0.sinks[artifact_point].tail().empty()) {
     const std::vector<obs::TraceEvent> events =
         serve::to_trace_events(obs0.sinks[artifact_point].tail().front());
-    write_file(dir + "/results/reqtrace_tail.json",
-               obs::to_chrome_json(events), "perfetto tail request");
+    bench::write_artifact(dir + "/results/reqtrace_tail.json",
+                          obs::to_chrome_json(events));
   }
 
   // --- table + metrics ---------------------------------------------------
@@ -363,7 +268,8 @@ int main(int, char** argv) {
                std::to_string(sink.tail().size()),
                std::to_string(sink.dropped_trees()),
                std::to_string(sink.exemplar_count())});
-    const std::string base = pt.scheduler + "." + load_key(pt.offered_load);
+    const std::string base =
+        pt.scheduler + "." + bench::load_key(pt.offered_load);
     man.metrics[base + ".windows_breached"] =
         static_cast<double>(m.windows_breached());
     man.metrics[base + ".max_burn_1w"] = m.max_burn(0);
@@ -380,7 +286,7 @@ int main(int, char** argv) {
   man.metrics["trace_overhead_fraction"] = overhead;
   man.metrics["trace_extra_ms_per_sweep"] = extra_per_sweep_s * 1e3;
   man.metrics["plain_sweep_seconds"] = plain_med;
-  man.metrics["observed_sweep_seconds"] = median(observed_s);
+  man.metrics["observed_sweep_seconds"] = percentile(observed_s, 50.0);
   man.metrics["exemplar_ok"] = exemplar_ok ? 1.0 : 0.0;
   man.metrics["windows_total"] = static_cast<double>(windows_total);
   man.metrics["windows_breached"] = static_cast<double>(windows_breached);

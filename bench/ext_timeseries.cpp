@@ -13,7 +13,6 @@
 #include "bench_util.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "core/codec.hpp"
 #include "eval/layer_selection.hpp"
 #include "nn/models.hpp"
-#include "obs/log.hpp"
 #include "obs/timeseries.hpp"
 
 int main(int, char** argv) {
@@ -65,15 +63,8 @@ int main(int, char** argv) {
   const std::string json_path =
       env_string("NOCW_TS_JSON", dir + "/results/timeseries_lenet5.json");
   const std::string csv_path = dir + "/results/timeseries_lenet5.csv";
-  {
-    std::ofstream out(json_path, std::ios::trunc);
-    out << series.to_json();
-  }
-  {
-    std::ofstream out(csv_path, std::ios::trunc);
-    out << series.to_csv();
-  }
-  obs::log("time series written to %s (and .csv)\n", json_path.c_str());
+  bench::write_artifact(json_path, series.to_json());
+  bench::write_artifact(csv_path, series.to_csv());
 
   Table t({"Series", "Points", "Stride", "Unit"});
   std::map<std::string, double> metrics{

@@ -2,19 +2,19 @@
 //
 // Two claims are measured on the full accelerator simulation (compressed
 // selected layer, real codec):
-//   1. tracing disabled (NOCW_TRACE=0, the default) is free — the per-hop
-//      gate is one relaxed atomic load, priced here by a microbench and
-//      scaled by the run's actual gate-check count;
+//   1. the cost of tracing disabled (NOCW_TRACE=0, the default): the
+//      per-hop gate is one relaxed atomic load, priced here by a microbench
+//      and scaled by the run's actual gate-check count, as a share of the
+//      trace-off inference time (disabled_overhead_pct);
 //   2. tracing never feeds back into simulation state — latency and energy
-//      are bit-identical with the tracer on and off.
+//      are bit-identical with the tracer on and off (exit 1 if not).
 // The enabled run's event stream is exported to results/trace_lenet5.json
-// (Chrome-trace JSON, drag into ui.perfetto.dev) and the measurements to
-// BENCH_trace.json for CI trending.
+// (Chrome-trace JSON, drag into ui.perfetto.dev); the measurements go to
+// the summary and run manifest.
 #include "bench_util.hpp"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <system_error>
@@ -28,24 +28,24 @@
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double run_ms(const nocw::accel::AcceleratorSim& sim,
+// Each run gets a fresh simulator, so every rep does the full work: a
+// reused one would serve later reps from its NoC phase cache, which tracing
+// turns off, and the two arms would time different work.
+double run_ms(const nocw::accel::AccelConfig& cfg,
               const nocw::accel::ModelSummary& summary,
               const nocw::accel::CompressionPlan& plan,
               nocw::accel::InferenceResult& out) {
+  const nocw::accel::AcceleratorSim sim(cfg);
   const auto t0 = Clock::now();
   out = sim.simulate(summary, &plan);
   const auto t1 = Clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -65,7 +65,6 @@ int main(int, char** argv) {
   const accel::ModelSummary summary = accel::summarize(m);
   accel::AccelConfig cfg;
   cfg.noc_window_flits = bench::noc_window();
-  accel::AcceleratorSim sim(cfg);
 
   // Compress the selected layer with the real codec so the simulation (and
   // the trace) includes the decompression phase.
@@ -85,14 +84,16 @@ int main(int, char** argv) {
   obs::Tracer::set_enabled(false);
   accel::InferenceResult r_off;
   std::vector<double> off_ms;
-  for (int i = 0; i < reps; ++i) off_ms.push_back(run_ms(sim, summary, plan, r_off));
+  for (int i = 0; i < reps; ++i) {
+    off_ms.push_back(run_ms(cfg, summary, plan, r_off));
+  }
 
   // --- tracing enabled, all categories ---
   obs::Tracer::set_enabled(true);
   obs::Tracer::set_categories(obs::kCatAll);
   obs::Tracer::global().clear();
   accel::InferenceResult r_on;
-  const double on_ms = run_ms(sim, summary, plan, r_on);
+  const double on_ms = run_ms(cfg, summary, plan, r_on);
   {
     // Drive the cycle-level decompressor FSM over the real segments so the
     // trace carries its Init/Run phase spans too (the simulator charges
@@ -137,7 +138,7 @@ int main(int, char** argv) {
   std::uint64_t checks = 0;
   for (const std::uint64_t v : r_on.noc_obs.link_flits) checks += v;
   for (const std::uint64_t v : r_on.noc_obs.node_ejections) checks += v;
-  const double off_med_ms = median(off_ms);
+  const double off_med_ms = percentile(off_ms, 50.0);
   const double disabled_overhead_pct =
       static_cast<double>(checks) * gate_ns / (off_med_ms * 1e6) * 100.0;
 
@@ -154,43 +155,13 @@ int main(int, char** argv) {
               "ext_trace_overhead");
   if (wrote) obs::log("trace written to %s\n", trace_path.c_str());
 
-  const std::string json_path =
-      env_string("NOCW_TRACE_JSON", "BENCH_trace.json");
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"model\": \"LeNet-5\",\n");
-    std::fprintf(f, "  \"reps\": %d,\n", reps);
-    std::fprintf(f, "  \"disabled_ms_median\": %.4f,\n", off_med_ms);
-    std::fprintf(f, "  \"enabled_ms\": %.4f,\n", on_ms);
-    std::fprintf(f, "  \"gate_check_ns\": %.4f,\n", gate_ns);
-    std::fprintf(f, "  \"gate_checks_per_inference\": %llu,\n",
-                 static_cast<unsigned long long>(checks));
-    std::fprintf(f, "  \"disabled_overhead_pct\": %.6f,\n",
-                 disabled_overhead_pct);
-    std::fprintf(f, "  \"disabled_overhead_under_1pct\": %s,\n",
-                 disabled_overhead_pct < 1.0 ? "true" : "false");
-    std::fprintf(f, "  \"bit_identical\": %s,\n",
-                 bit_identical ? "true" : "false");
-    std::fprintf(f, "  \"trace_events\": %llu,\n",
-                 static_cast<unsigned long long>(events));
-    std::fprintf(f, "  \"trace_events_dropped\": %llu,\n",
-                 static_cast<unsigned long long>(dropped));
-    std::fprintf(f, "  \"latency_total_cycles\": %.0f,\n",
-                 r_on.latency.total());
-    std::fprintf(f, "  \"energy_total_j\": %.9g\n",
-                 r_on.energy.total().value());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    obs::log("trace-overhead results written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
-  }
-
   bench::write_summary(
       dir, "ext_trace_overhead",
-      {{"disabled_ms_median", off_med_ms},
+      {{"reps", static_cast<double>(reps)},
+       {"disabled_ms_median", off_med_ms},
        {"enabled_ms", on_ms},
+       {"gate_check_ns", gate_ns},
+       {"gate_checks_per_inference", static_cast<double>(checks)},
        {"disabled_overhead_pct", disabled_overhead_pct},
        {"bit_identical", bit_identical ? 1.0 : 0.0},
        {"trace_events", static_cast<double>(events)},

@@ -1,8 +1,9 @@
 // bench::write_summary promises: the aggregated summary is keyed by tool
 // (so repeated registration can never duplicate a key — last writer wins),
 // a second write_summary for one tool inside one process warns and is
-// counted instead of passing silently, and NOCW_REGRESS_STRICT=1 promotes
-// that warning to a hard CheckError.
+// counted instead of passing silently, NOCW_REGRESS_STRICT=1 promotes
+// that warning to a hard CheckError, and the per-run manifest carries the
+// same stamped wall time as the summary.
 #include "bench_util.hpp"
 
 #include <gtest/gtest.h>
@@ -31,12 +32,13 @@ class SummaryWriter : public ::testing::Test {
     ::unsetenv("NOCW_REGRESS_STRICT");
   }
 
-  std::string read_summary_file() const {
-    std::ifstream in(summary_);
+  static std::string read_file(const std::string& path) {
+    std::ifstream in(path);
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
   }
+  std::string read_summary_file() const { return read_file(summary_); }
 
   static std::size_t count_occurrences(const std::string& text,
                                        const std::string& needle) {
@@ -119,6 +121,13 @@ TEST_F(SummaryWriter, RewriteAcrossToolsPreservesOtherEntries) {
   EXPECT_NE(text.find("\"keep\":7"), std::string::npos);
   EXPECT_EQ(count_occurrences(text, "\"overwriter\":"), 1u);
   EXPECT_NE(text.find("\"y\":3"), std::string::npos);
+}
+
+TEST_F(SummaryWriter, RunManifestCarriesWallTime) {
+  write_summary(dir_, "walled_tool", {{"a", 1.0}});
+  const std::string run = read_file(dir_ + "/results/run_walled_tool.json");
+  EXPECT_NE(run.find("\"wall_ms\""), std::string::npos) << run;
+  EXPECT_NE(read_summary_file().find("\"wall_ms\""), std::string::npos);
 }
 
 }  // namespace

@@ -106,11 +106,13 @@ LEXEME_RE = re.compile(r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\""
                        r"|(?<!\w)'(?:\\.|[^'\\\n])*'", re.S)
 # A registration call whose second argument is a string literal: Registry
 # (name, unit, value) and TimeSeriesSet::append (name, unit, cycle, value).
-# The name argument runs to the first comma and may span lines or hold a
-# call (`prefix("x")`); the typed overloads take no string unit at all.
+# The name argument runs to the first comma outside parentheses and may span
+# lines or hold calls nested two deep (`join("a", b)`, whose comma is not
+# the argument separator); the typed overloads take no string unit at all.
+NAME_ARG = r"(?:[^,;()]|\((?:[^();]|\([^();]*\))*\))*?"
 METRIC_CALL_RE = re.compile(
     r"\b(?:set_counter|add_counter|set_gauge|observe|append)\s*"
-    r"\(\s*[^,;]*?,\s*\"([^\"]*)\"")
+    rf"\(\s*{NAME_ARG},\s*\"([^\"]*)\"")
 MAIN_RE = re.compile(r"^\s*int\s+main\s*\(", re.M)
 WRITE_SUMMARY_RE = re.compile(r"\bwrite_summary\s*\(")
 
@@ -377,6 +379,10 @@ SEEDED = {
     "src/obs/bad_vocab_call.cpp": (
         'void f(nocw::obs::Registry& r) {\n'
         '  r.set_gauge(prefix("x"), "femtojoules", 1.0);\n'
+        "}\n", ["units.vocab"]),
+    "src/obs/bad_vocab_comma.cpp": (
+        'void f(nocw::obs::Registry& r, const char* b) {\n'
+        '  r.set_gauge(join("a", b), "femtojoules", 1.0);\n'
         "}\n", ["units.vocab"]),
     "src/obs/bad_vocab_append.cpp": (
         "void f(nocw::obs::TimeSeriesSet& s) {\n"

@@ -304,7 +304,7 @@ def slo_panel(slo: dict) -> list[str]:
         out.append(
             f"<p>{len(breached)} of {len(windows)} windows breached. "
             "Exemplar trace ids resolve in the nocw.reqtrace.v1 export "
-            "(BENCH_reqtrace.json).</p>"
+            "(results/reqtrace.json).</p>"
             "<table><tr><th>class</th><th>window start</th><th>breach</th>"
             "<th>burn 1w</th><th>exemplar trace</th></tr>"
             + "".join(rows) + "</table>")

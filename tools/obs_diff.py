@@ -14,7 +14,7 @@ closed, suffix-disciplined vocabulary (see the units.vocab rule of
 tools/nocw_analyze.py and DESIGN.md §10):
 
   informational   wall-clock and throughput numbers that vary with the host
-                  machine (substrings: _ms, seconds, gflops, speedup,
+                  machine (substrings: _ms, _ns, seconds, gflops, speedup,
                   flops). Reported, never gated.
   lower-better    latency, energy, cycles, _j, overhead, dropped, drops,
                   shed, burn, breach — an increase beyond tolerance is a
@@ -52,7 +52,7 @@ import os
 import pathlib
 import sys
 
-INFORMATIONAL = ("_ms", "seconds", "gflops", "speedup", "flops")
+INFORMATIONAL = ("_ms", "_ns", "seconds", "gflops", "speedup", "flops")
 LOWER_BETTER = ("latency", "energy", "cycles", "_j", "overhead", "dropped",
                 "drops", "shed", "burn", "breach")
 HIGHER_BETTER = ("accuracy", "bit_identical", ".cr", "_cr", "goodput")
@@ -193,7 +193,8 @@ def self_test() -> int:
             },
             "micro_kernels": {
                 "model": "",
-                "metrics": {"gemm.t1.seconds": 0.5, "gemm.flops": 2.68e8},
+                "metrics": {"gemm.t1.seconds": 0.5, "gemm.flops": 2.68e8,
+                            "gate_check_ns": 2.0},
             },
         },
     }
@@ -246,14 +247,17 @@ def self_test() -> int:
     if not any("latency_cycles" in s for s in d.improvements):
         failures.append(f"-10% latency not an improvement: {d.improvements}")
 
-    # 5. 2x wall-clock seconds: informational only, never gates.
+    # 5. 2x wall-clock seconds / ns: informational only, never gates.
     pert = copy.deepcopy(base_doc)
     pert["benches"]["micro_kernels"]["metrics"]["gemm.t1.seconds"] *= 2.0
+    pert["benches"]["micro_kernels"]["metrics"]["gate_check_ns"] *= 2.0
     d, rc = run(base_doc, pert, strict=True)
     if d.regressions or rc != 0:
         failures.append(f"wall-clock drift gated: {d.regressions}")
-    if not any("seconds" in s for s in d.info):
-        failures.append(f"wall-clock drift not reported: {d.info}")
+    for key in ("seconds", "gate_check_ns"):
+        if not any(key in s for s in d.info):
+            failures.append(f"wall-clock drift of {key} not reported: "
+                            f"{d.info}")
 
     # 6. Drift within tolerance (+1%): silent.
     pert = copy.deepcopy(base_doc)
