@@ -83,17 +83,31 @@ void BM_DecompressorUnit(benchmark::State& state) {
 }
 BENCHMARK(BM_DecompressorUnit);
 
-void BM_Serialize(benchmark::State& state) {
-  const auto w = weights(1 << 16);
+// Arg = δ in percent: δ = 0 gives the most segments per weight, the worst
+// case for the bit I/O; δ = 10 is a typical operating point.
+core::CompressedLayer codec_layer(const benchmark::State& state) {
   core::CodecConfig cfg;
-  cfg.delta_percent = 10.0;
-  const auto layer = core::compress(w, cfg);
+  cfg.delta_percent = static_cast<double>(state.range(0));
+  return core::compress(weights(1 << 16), cfg);
+}
+
+void BM_Serialize(benchmark::State& state) {
+  const auto layer = codec_layer(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::serialize(layer));
   }
   state.SetItemsProcessed(state.iterations() * (1 << 16));
 }
-BENCHMARK(BM_Serialize);
+BENCHMARK(BM_Serialize)->Arg(0)->Arg(10);
+
+void BM_Deserialize(benchmark::State& state) {
+  const auto bytes = core::serialize(codec_layer(state));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::deserialize(bytes));
+  }
+  state.SetItemsProcessed(state.iterations() * (1 << 16));
+}
+BENCHMARK(BM_Deserialize)->Arg(0)->Arg(10);
 
 void BM_Quantize(benchmark::State& state) {
   const auto w = weights(1 << 16);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "util/bitio.hpp"
 
@@ -126,7 +127,8 @@ std::vector<std::uint8_t> huffman_encode(std::span<const std::uint8_t> data) {
     }
   }
 
-  // Canonical codes from lengths.
+  // Canonical codes from lengths, stored bit-reversed: one LSB-first write
+  // of the reversed code emits the canonical code MSB-first.
   std::array<std::uint32_t, 256> code{};
   {
     std::vector<int> order;
@@ -140,8 +142,14 @@ std::vector<std::uint8_t> huffman_encode(std::span<const std::uint8_t> data) {
     std::uint32_t next = 0;
     std::uint8_t prev_len = 0;
     for (int s : order) {
+      if (code_len[s] > 32) throw std::runtime_error("huffman: code too long");
       next <<= (code_len[s] - prev_len);
-      code[static_cast<std::size_t>(s)] = next++;
+      std::uint32_t reversed = 0;
+      for (std::uint8_t bit = 0; bit < code_len[s]; ++bit) {
+        reversed = (reversed << 1) | ((next >> bit) & 1u);
+      }
+      code[static_cast<std::size_t>(s)] = reversed;
+      ++next;
       prev_len = code_len[s];
     }
   }
@@ -149,13 +157,8 @@ std::vector<std::uint8_t> huffman_encode(std::span<const std::uint8_t> data) {
   BitWriter w;
   w.write(data.size(), 48);
   for (int s = 0; s < 256; ++s) w.write(code_len[s], 8);
-  for (auto b : data) {
-    // MSB-first emission of the canonical code.
-    const std::uint8_t len = code_len[b];
-    const std::uint32_t c = code[b];
-    for (int bit = len - 1; bit >= 0; --bit) w.write((c >> bit) & 1u, 1);
-  }
-  return w.bytes();
+  for (auto b : data) w.write(code[b], code_len[b]);
+  return std::move(w).take_bytes();
 }
 
 std::vector<std::uint8_t> huffman_decode(std::span<const std::uint8_t> data) {

@@ -1,8 +1,10 @@
 #include "core/codec.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "core/linefit.hpp"
 #include "util/bitio.hpp"
@@ -29,26 +31,32 @@ std::size_t max_segment_length(unsigned length_bits) {
   return std::size_t{1} << length_bits;
 }
 
-/// CRC-8 (poly 0x07) folded over the low `bytes` bytes of `value`,
-/// little-endian — covers exactly the field values as stored, so any bit
-/// flip inside a serialized record changes the checksum.
-std::uint8_t crc8_update(std::uint8_t crc, std::uint64_t value,
-                         unsigned bytes) {
-  for (unsigned i = 0; i < bytes; ++i) {
-    crc ^= static_cast<std::uint8_t>(value >> (8 * i));
+// Fixed-size stream header: magic, version, flags, three 6-bit widths, two
+// 48-bit counts and the float δ.
+constexpr std::size_t kHeaderBits = 16 + 8 + 8 + 3 * 6 + 2 * 48 + 32;
+
+/// CRC-8 (poly 0x07) of every single byte value: the byte shifted through
+/// the 8-step polynomial division.
+constexpr std::array<std::uint8_t, 256> kCrc8Table = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (unsigned i = 0; i < 256; ++i) {
+    auto crc = static_cast<std::uint8_t>(i);
     for (int b = 0; b < 8; ++b) {
       crc = static_cast<std::uint8_t>((crc << 1) ^ ((crc & 0x80U) ? 0x07 : 0));
     }
+    table[i] = crc;
   }
-  return crc;
-}
+  return table;
+}();
 
-std::uint8_t segment_crc8(std::uint64_t raw_m, std::uint64_t raw_q,
-                          std::uint64_t len_field) {
-  std::uint8_t crc = 0xFF;
-  crc = crc8_update(crc, raw_m, 4);
-  crc = crc8_update(crc, raw_q, 4);
-  crc = crc8_update(crc, len_field, 4);
+/// CRC-8 folded over the low `bytes` bytes of `value`, little-endian —
+/// covers exactly the field values as stored, so any bit flip inside a
+/// serialized record changes the checksum.
+std::uint8_t crc8_update(std::uint8_t crc, std::uint64_t value,
+                         unsigned bytes) {
+  for (unsigned i = 0; i < bytes; ++i) {
+    crc = kCrc8Table[crc ^ static_cast<std::uint8_t>(value >> (8 * i))];
+  }
   return crc;
 }
 
@@ -59,6 +67,15 @@ std::uint8_t segment_crc8(std::uint64_t raw_m, std::uint64_t raw_q,
 }
 
 }  // namespace
+
+std::uint8_t segment_crc8(std::uint64_t m_field, std::uint64_t q_field,
+                          std::uint64_t len_field) noexcept {
+  std::uint8_t crc = 0xFF;
+  crc = crc8_update(crc, m_field, 4);
+  crc = crc8_update(crc, q_field, 4);
+  crc = crc8_update(crc, len_field, 4);
+  return crc;
+}
 
 float quantize_coefficient(double value, unsigned bits) noexcept {
   const auto f = static_cast<float>(value);
@@ -193,6 +210,7 @@ double CompressedLayer::mean_segment_length() const noexcept {
 
 std::vector<std::uint8_t> serialize(const CompressedLayer& layer) {
   BitWriter w;
+  w.reserve(kHeaderBits + layer.compressed_bits());
   w.write(kMagic, 16);
   w.write(kVersion, 8);
   w.write(layer.config.segment_checksum ? kFlagSegmentChecksum : 0, 8);
@@ -222,7 +240,7 @@ std::vector<std::uint8_t> serialize(const CompressedLayer& layer) {
       w.write(segment_crc8(m_field, q_field, len_field), 8);
     }
   }
-  return w.bytes();
+  return std::move(w).take_bytes();
 }
 
 namespace {
@@ -236,7 +254,6 @@ struct StreamHeader {
 /// Parse and validate the fixed-size header. Shared by the strict and the
 /// tolerant path — header corruption is fatal for both.
 StreamHeader parse_header(BitReader& r, std::size_t total_bits) {
-  constexpr std::size_t kHeaderBits = 16 + 8 + 8 + 3 * 6 + 2 * 48 + 32;
   if (total_bits < kHeaderBits) {
     fail("deserialize: stream truncated inside header: " +
              std::to_string(total_bits) + " bits, header needs " +

@@ -111,6 +111,12 @@ CompressedLayer compress(std::span<const float> weights,
 void decompress(const CompressedLayer& layer, std::span<float> out);
 std::vector<float> decompress(const CompressedLayer& layer);
 
+/// CRC-8 (poly 0x07, init 0xFF) over the low 4 bytes of each stored field
+/// of one ⟨m, q, len⟩ record, little-endian: the per-segment checksum that
+/// CodecConfig::segment_checksum appends.
+std::uint8_t segment_crc8(std::uint64_t m_field, std::uint64_t q_field,
+                          std::uint64_t len_field) noexcept;
+
 /// Serialize to the bit-packed storage format (what main memory would hold).
 std::vector<std::uint8_t> serialize(const CompressedLayer& layer);
 /// Parse a bit-packed stream back; throws DecodeError (with the offending

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/entropy.hpp"
+#include "util/bitio.hpp"
 #include "util/rng.hpp"
 
 namespace nocw::core {
@@ -131,6 +135,58 @@ TEST(Huffman, BinaryAlphabetRoundTrip) {
   std::vector<std::uint8_t> data(5000);
   for (auto& b : data) b = rng.chance(0.5) ? 0x00 : 0xFF;
   EXPECT_EQ(huffman_decode(huffman_encode(data)), data);
+}
+
+// The original encoder: canonical codes rebuilt from the stream's length
+// table, each emitted MSB-first as `len` separate 1-bit writes.
+std::vector<std::uint8_t> per_bit_huffman_reference(
+    std::span<const std::uint8_t> data, std::span<const std::uint8_t> enc) {
+  BitReader table(enc);
+  table.read(48);
+  std::array<std::uint8_t, 256> code_len{};
+  for (auto& len : code_len) len = static_cast<std::uint8_t>(table.read(8));
+  std::vector<int> order;
+  for (int s = 0; s < 256; ++s) {
+    if (code_len[s] > 0) order.push_back(s);
+  }
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (code_len[a] != code_len[b]) return code_len[a] < code_len[b];
+    return a < b;
+  });
+  std::array<std::uint32_t, 256> code{};
+  std::uint32_t next = 0;
+  std::uint8_t prev_len = 0;
+  for (int s : order) {
+    next <<= (code_len[s] - prev_len);
+    code[static_cast<std::size_t>(s)] = next++;
+    prev_len = code_len[s];
+  }
+  BitWriter w;
+  w.write(data.size(), 48);
+  for (int s = 0; s < 256; ++s) w.write(code_len[s], 8);
+  for (auto b : data) {
+    const std::uint32_t c = code[b];
+    for (int bit = code_len[b] - 1; bit >= 0; --bit) {
+      w.write((c >> bit) & 1u, 1);
+    }
+  }
+  return w.bytes();
+}
+
+TEST(Huffman, WholeCodeWritesMatchPerBitEncoder) {
+  // Geometric-ish byte histogram: code lengths from 1 up to well past 8.
+  Xoshiro256pp rng(12);
+  std::vector<std::uint8_t> data(20000);
+  for (auto& b : data) {
+    std::uint8_t sym = 0;
+    while (sym < 40 && rng.chance(0.6)) ++sym;
+    b = sym;
+  }
+  const std::string text = sample_text(4096);
+  data.insert(data.end(), text.begin(), text.end());
+  const auto enc = huffman_encode(data);
+  EXPECT_EQ(enc, per_bit_huffman_reference(data, enc));
+  EXPECT_EQ(huffman_decode(enc), data);
 }
 
 // --- The paper's claim -----------------------------------------------------------

@@ -331,6 +331,76 @@ TEST(CodecCorruption, HeaderCorruptionIsFatalEvenForTolerant) {
   EXPECT_THROW(deserialize_tolerant(bytes), DecodeError);
 }
 
+TEST(CodecCorruption, EveryTruncatedPrefixIsADecodeErrorOrAPaddedRepair) {
+  const auto w = gaussian_weights(400, 58);
+  for (const bool checksum : {false, true}) {
+    CodecConfig cfg;
+    cfg.delta_percent = 10.0;
+    cfg.segment_checksum = checksum;
+    const auto layer = compress(w, cfg);
+    const auto bytes = serialize(layer);
+    ASSERT_GT(layer.segments.size(), 20U);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      // An exact-size copy, so a sanitizer sees any read past its end.
+      const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                             bytes.begin() + len);
+      EXPECT_THROW((void)deserialize(prefix), DecodeError) << len;
+      if (len * 8 < 178) {  // the 178-bit header is cut: fatal for both
+        EXPECT_THROW((void)deserialize_tolerant(prefix), DecodeError) << len;
+        continue;
+      }
+      DecodeDiagnostics diag;
+      const auto repaired = deserialize_tolerant(prefix, &diag);
+      EXPECT_TRUE(diag.truncated) << len;
+      EXPECT_GT(diag.segments_missing, 0U) << len;
+      EXPECT_EQ(diag.segments_corrupted, 0U) << len;
+      EXPECT_EQ(decompress(repaired).size(), layer.original_count) << len;
+      // Every record that fits in the prefix comes back bit-exact.
+      const std::size_t intact =
+          repaired.segments.size() - diag.segments_missing;
+      ASSERT_LE(intact, layer.segments.size());
+      for (std::size_t i = 0; i < intact; ++i) {
+        const auto& a = repaired.segments[i];
+        const auto& b = layer.segments[i];
+        ASSERT_EQ(std::memcmp(&a.m, &b.m, sizeof(a.m)), 0) << len;
+        ASSERT_EQ(std::memcmp(&a.q, &b.q, sizeof(a.q)), 0) << len;
+        ASSERT_EQ(a.length, b.length) << len;
+      }
+    }
+  }
+}
+
+// Bitwise CRC-8 (poly 0x07): the definition the table-driven segment_crc8
+// must reproduce.
+std::uint8_t bitwise_segment_crc8(std::uint64_t m, std::uint64_t q,
+                                  std::uint64_t len) {
+  std::uint8_t crc = 0xFF;
+  for (const std::uint64_t field : {m, q, len}) {
+    for (unsigned i = 0; i < 4; ++i) {
+      crc ^= static_cast<std::uint8_t>(field >> (8 * i));
+      for (int b = 0; b < 8; ++b) {
+        crc = static_cast<std::uint8_t>((crc << 1) ^
+                                        ((crc & 0x80U) ? 0x07 : 0));
+      }
+    }
+  }
+  return crc;
+}
+
+TEST(CodecCorruption, TableCrc8MatchesBitwiseReference) {
+  Xoshiro256pp rng(59);
+  for (int i = 0; i < 20000; ++i) {
+    // Field widths as stored: coef_bits 9..32, length_bits up to 48.
+    const unsigned coef_bits = 9 + static_cast<unsigned>(rng.bounded(24));
+    const std::uint64_t m = rng() >> (64 - coef_bits);
+    const std::uint64_t q = rng() >> (64 - coef_bits);
+    const std::uint64_t len = rng() >> (16 + rng.bounded(48));
+    ASSERT_EQ(segment_crc8(m, q, len), bitwise_segment_crc8(m, q, len))
+        << m << " " << q << " " << len;
+  }
+  EXPECT_EQ(segment_crc8(0, 0, 0), bitwise_segment_crc8(0, 0, 0));
+}
+
 // Property sweep over δ values: reconstruction must always tile and MSE must
 // equal the replayed reconstruction error.
 class CodecDeltaSweep : public ::testing::TestWithParam<double> {};
