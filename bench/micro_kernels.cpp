@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,6 +131,35 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);  // FLOPs
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(256);
+
+// The zoo's hot GEMM shapes at one thread, A half exact zeros like a
+// post-ReLU im2col matrix: ResNet50 3x3 conv at 14x14, MobileNet's first
+// pointwise conv, and a 9216 -> 4096 Dense layer at batch 2.
+void BM_GemmZoo(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  set_global_threads(1);
+  auto a = weights(m * k, 1.0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = a[i] > 0.0F ? a[i] : 0.0F;
+  }
+  const auto b = weights(k * n);
+  std::vector<float> c(m * n);
+  for (auto _ : state) {
+    nn::gemm(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) *
+                          static_cast<std::int64_t>(k) *
+                          static_cast<std::int64_t>(n));  // MACs
+}
+BENCHMARK(BM_GemmZoo)
+    ->ArgNames({"m", "k", "n"})
+    ->Args({196, 2304, 256})
+    ->Args({12544, 32, 64})
+    ->Args({2, 9216, 4096});
 
 void BM_GemmParallel(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -196,14 +196,61 @@ std::vector<std::uint8_t> huffman_decode(std::span<const std::uint8_t> data) {
       ++next;
     }
   }
+  // Fast path: a table indexed by the next kLookupBits stream bits gives
+  // the symbol and length of every code up to kLookupBits long. Stream bits
+  // are a code's bits MSB-first, so a code sits bit-reversed in the low
+  // `len` bits of the index. Canonical codes are prefix-free even for a
+  // malformed length table (each code's prefix exceeds every shorter code),
+  // once codes that overflow their length are left out, so no entry is
+  // claimed twice.
+  constexpr unsigned kLookupBits = 10;
+  struct Entry {
+    std::uint8_t symbol = 0;
+    std::uint8_t len = 0;  ///< 0: no code of <= kLookupBits bits matches
+  };
+  std::array<Entry, std::size_t{1} << kLookupBits> table{};
+  for (std::uint8_t len = 1; len <= kLookupBits; ++len) {
+    for (std::uint32_t i = 0; i < span_per_len[len]; ++i) {
+      const std::uint32_t c = first_code[len] + i;
+      if (c >> len != 0) break;  // overflowed canonical code: never matches
+      std::uint32_t reversed = 0;
+      for (std::uint8_t bit = 0; bit < len; ++bit) {
+        reversed = (reversed << 1) | ((c >> bit) & 1U);
+      }
+      const auto symbol =
+          static_cast<std::uint8_t>(order[first_index[len] + i]);
+      for (std::uint32_t hi = 0; hi < (1U << (kLookupBits - len)); ++hi) {
+        table[reversed | (hi << len)] = Entry{symbol, len};
+      }
+    }
+  }
+
+  // Stream bits not yet consumed, LSB first, refilled 32 bits at a time.
+  std::uint64_t buf = 0;
+  unsigned nbits = 0;
   std::vector<std::uint8_t> out;
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
+    while (nbits <= 32 && r.bits_left() > 0) {
+      const auto take =
+          static_cast<unsigned>(std::min<std::size_t>(32, r.bits_left()));
+      buf |= r.read(take) << nbits;
+      nbits += take;
+    }
+    const Entry e = table[buf & ((1U << kLookupBits) - 1)];
+    if (e.len != 0 && e.len <= nbits) {
+      out.push_back(e.symbol);
+      buf >>= e.len;
+      nbits -= e.len;
+      continue;
+    }
+    // Slow path (codes longer than kLookupBits, bad or truncated input):
+    // the canonical per-length search, one buffered bit at a time.
     std::uint32_t c = 0;
-    std::uint8_t len = 0;
+    unsigned len = 0;
     int symbol = -1;
-    while (len < 32) {
-      c = (c << 1) | static_cast<std::uint32_t>(r.read(1));
+    while (len < 32 && len < nbits) {
+      c = (c << 1) | static_cast<std::uint32_t>((buf >> len) & 1U);
       ++len;
       const std::uint32_t span = span_per_len[len];
       if (span != 0 && c >= first_code[len] && c < first_code[len] + span) {
@@ -211,8 +258,13 @@ std::vector<std::uint8_t> huffman_decode(std::span<const std::uint8_t> data) {
         break;
       }
     }
-    if (symbol < 0) throw std::runtime_error("huffman: bad code");
+    if (symbol < 0) {
+      if (len < 32) throw std::out_of_range("huffman: truncated stream");
+      throw std::runtime_error("huffman: bad code");
+    }
     out.push_back(static_cast<std::uint8_t>(symbol));
+    buf >>= len;
+    nbits -= len;
   }
   return out;
 }

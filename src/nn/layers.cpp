@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "nn/gemm.hpp"
+#include "nn/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nocw::nn {
@@ -162,8 +163,8 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs) const {
     if (!bias_.empty()) {
       for (std::size_t pos = 0; pos < static_cast<std::size_t>(oh) * ow;
            ++pos) {
-        float* row = dst + pos * cout_;
-        for (int co = 0; co < cout_; ++co) row[co] += bias_[co];
+        simd::add_into(dst + pos * cout_, bias_.data(),
+                       static_cast<std::size_t>(cout_));
       }
     }
   }
@@ -287,9 +288,8 @@ Tensor DepthwiseConv2D::forward(std::span<const Tensor* const> inputs) const {
                   const float* kv =
                       kernel_.data() +
                       (static_cast<std::size_t>(ky) * kw_ + kx) * channels_;
-                  for (int ci = 0; ci < channels_; ++ci) {
-                    o[ci] += iv[ci] * kv[ci];
-                  }
+                  simd::mul_add_into(o, iv, kv,
+                                     static_cast<std::size_t>(channels_));
                 }
               }
             }
@@ -315,8 +315,8 @@ Tensor Dense::forward(std::span<const Tensor* const> inputs) const {
   gemm(in.raw(), kernel_.data(), out.raw(), static_cast<std::size_t>(n),
        static_cast<std::size_t>(in_), static_cast<std::size_t>(out_));
   for (int i = 0; i < n; ++i) {
-    float* row = out.raw() + static_cast<std::size_t>(i) * out_;
-    for (int j = 0; j < out_; ++j) row[j] += bias_[j];
+    simd::add_into(out.raw() + static_cast<std::size_t>(i) * out_,
+                   bias_.data(), static_cast<std::size_t>(out_));
   }
   return out;
 }
@@ -463,8 +463,8 @@ Tensor AvgPool::forward(std::span<const Tensor* const> inputs) const {
             const int ix = x * stride_ - pad_left + kx;
             if (ix < 0 || ix >= w) continue;
             ++valid;
-            const float* iv = &in.at(img, iy, ix, 0);
-            for (int ci = 0; ci < c; ++ci) o[ci] += iv[ci];
+            simd::add_into(o, &in.at(img, iy, ix, 0),
+                           static_cast<std::size_t>(c));
           }
         }
         const float inv = valid > 0 ? 1.0F / static_cast<float>(valid) : 0.0F;
@@ -485,8 +485,7 @@ Tensor GlobalAvgPool::forward(std::span<const Tensor* const> inputs) const {
     float* o = out.raw() + static_cast<std::size_t>(img) * c;
     for (int y = 0; y < h; ++y) {
       for (int x = 0; x < w; ++x) {
-        const float* iv = &in.at(img, y, x, 0);
-        for (int ci = 0; ci < c; ++ci) o[ci] += iv[ci];
+        simd::add_into(o, &in.at(img, y, x, 0), static_cast<std::size_t>(c));
       }
     }
     for (int ci = 0; ci < c; ++ci) o[ci] *= inv;
@@ -594,9 +593,9 @@ Tensor BatchNorm::forward(std::span<const Tensor* const> inputs) const {
     shift[i] = beta_[i] - mean_[i] * scale[i];
   }
   auto d = out.data();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    const std::size_t ci = i % gamma_.size();
-    d[i] = d[i] * scale[ci] + shift[ci];
+  for (std::size_t i = 0; i < d.size(); i += gamma_.size()) {
+    simd::scale_shift(d.data() + i, scale.data(), shift.data(),
+                      gamma_.size());
   }
   return out;
 }
@@ -611,9 +610,7 @@ Tensor Add::forward(std::span<const Tensor* const> inputs) const {
     if (rhs.shape() != out.shape()) {
       throw std::invalid_argument("Add shape mismatch");
     }
-    auto o = out.data();
-    auto r = rhs.data();
-    for (std::size_t i = 0; i < o.size(); ++i) o[i] += r[i];
+    simd::add_into(out.raw(), rhs.raw(), out.size());
   }
   return out;
 }

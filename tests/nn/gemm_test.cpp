@@ -4,23 +4,14 @@
 
 #include <vector>
 
+#include "gemm_reference.hpp"
 #include "util/rng.hpp"
 
 namespace nocw::nn {
 namespace {
 
-void naive(const float* a, const float* b, float* c, std::size_t m,
-           std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        acc += static_cast<double>(a[i * k + p]) * b[p * n + j];
-      }
-      c[i * n + j] = static_cast<float>(acc);
-    }
-  }
-}
+using gemm_ref::float_bits;
+using gemm_ref::reference_gemm;
 
 TEST(Gemm, Identity) {
   const std::vector<float> eye{1, 0, 0, 1};
@@ -66,17 +57,17 @@ TEST(Gemm, MatchesNaiveAcrossShapes) {
     for (auto& v : a) v = static_cast<float>(rng.normal());
     for (auto& v : b) v = static_cast<float>(rng.normal());
     gemm(a.data(), b.data(), c.data(), m, k, n);
-    naive(a.data(), b.data(), ref.data(), m, k, n);
+    reference_gemm(a.data(), b.data(), ref.data(), m, k, n);
     for (std::size_t i = 0; i < c.size(); ++i) {
-      EXPECT_NEAR(c[i], ref[i], 1e-3F) << "shape " << m << "x" << k << "x"
-                                       << n << " at " << i;
+      ASSERT_EQ(float_bits(c[i]), float_bits(ref[i]))
+          << "shape " << m << "x" << k << "x" << n << " at " << i;
     }
   }
 }
 
 TEST(Gemm, ZeroRowsInAAreSkippedCorrectly) {
-  // The kernel short-circuits zero A entries (im2col padding); the result
-  // must still be exact.
+  // The kernel drops k whose A column is all zero inside a row tile
+  // (im2col padding); the result must still be bit-exact.
   Xoshiro256pp rng(202);
   const std::size_t m = 9, k = 40, n = 13;
   std::vector<float> a(m * k, 0.0F), b(k * n), c(m * n), ref(m * n);
@@ -85,27 +76,29 @@ TEST(Gemm, ZeroRowsInAAreSkippedCorrectly) {
   }
   for (auto& v : b) v = static_cast<float>(rng.normal());
   gemm(a.data(), b.data(), c.data(), m, k, n);
-  naive(a.data(), b.data(), ref.data(), m, k, n);
-  for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4F);
+  reference_gemm(a.data(), b.data(), ref.data(), m, k, n);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    ASSERT_EQ(float_bits(c[i]), float_bits(ref[i])) << "at " << i;
+  }
 }
 
-TEST(Gemv, MatchesGemmSingleColumn) {
-  Xoshiro256pp rng(203);
-  const std::size_t m = 37, k = 101;
-  std::vector<float> a(m * k), x(k), y(m), ref(m);
-  for (auto& v : a) v = static_cast<float>(rng.normal());
-  for (auto& v : x) v = static_cast<float>(rng.normal());
-  gemv(a.data(), x.data(), y.data(), m, k);
-  gemm(a.data(), x.data(), ref.data(), m, k, 1);
-  for (std::size_t i = 0; i < m; ++i) EXPECT_NEAR(y[i], ref[i], 1e-3F);
+TEST(Gemm, AllZeroColumnsGivePositiveZero) {
+  // Dropping an all-zero k is exact because C starts at +0 and never turns
+  // into -0: the naive loop gives +0 + (-0) = +0 for a -0 product too.
+  const std::size_t m = 7, k = 3, n = 9;
+  std::vector<float> a(m * k, -0.0F), b(k * n, -2.0F), c(m * n, 5.0F);
+  gemm(a.data(), b.data(), c.data(), m, k, n);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    ASSERT_EQ(float_bits(c[i]), float_bits(0.0F)) << "at " << i;
+  }
 }
 
-TEST(Gemv, Accumulate) {
-  const std::vector<float> a{1, 2};
-  const std::vector<float> x{3, 4};
-  std::vector<float> y{100};
-  gemv(a.data(), x.data(), y.data(), 1, 2, /*accumulate=*/true);
-  EXPECT_FLOAT_EQ(y[0], 111.0F);
+TEST(Gemm, EmptyInnerDimensionZeroesOrKeepsC) {
+  std::vector<float> c{1, 2, 3, 4, 5, 6};
+  gemm(nullptr, nullptr, c.data(), 2, 0, 3, /*accumulate=*/true);
+  EXPECT_EQ(c, (std::vector<float>{1, 2, 3, 4, 5, 6}));
+  gemm(nullptr, nullptr, c.data(), 2, 0, 3);
+  EXPECT_EQ(c, (std::vector<float>(6, 0.0F)));
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
 
+#include "nn/simd.hpp"
 #include "util/rng.hpp"
 
 namespace nocw::nn {
@@ -417,6 +419,41 @@ TEST(Concat, SpatialMismatchThrows) {
   const Tensor* ins[2] = {&x, &y};
   EXPECT_THROW(cat.forward(std::span<const Tensor* const>(ins, 2)),
                std::invalid_argument);
+}
+
+// --- SIMD element-wise helpers ------------------------------------------------
+
+TEST(Simd, ElementwiseHelpersMatchScalarLoops) {
+  // Every length through three full vectors plus each ragged tail: the
+  // helpers must give the scalar loops' exact bits.
+  Xoshiro256pp rng(77);
+  auto random = [&](std::size_t n) {
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(rng.normal());
+    return v;
+  };
+  for (std::size_t n = 0; n <= 13; ++n) {
+    const auto x = random(n);
+    const auto y = random(n);
+    const auto z = random(n);
+    auto add = x;
+    auto mul_add = x;
+    auto scale_shift = x;
+    simd::add_into(add.data(), y.data(), n);
+    simd::mul_add_into(mul_add.data(), y.data(), z.data(), n);
+    simd::scale_shift(scale_shift.data(), y.data(), z.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want_add = x[i] + y[i];
+      const float want_mul_add = x[i] + y[i] * z[i];
+      const float want_scale_shift = x[i] * y[i] + z[i];
+      ASSERT_EQ(std::memcmp(&add[i], &want_add, sizeof(float)), 0) << n;
+      ASSERT_EQ(std::memcmp(&mul_add[i], &want_mul_add, sizeof(float)), 0)
+          << n;
+      ASSERT_EQ(
+          std::memcmp(&scale_shift[i], &want_scale_shift, sizeof(float)), 0)
+          << n;
+    }
+  }
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 // match exactly (EXPECT_EQ on floats, not EXPECT_NEAR) at 2 and 8 threads.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "gemm_reference.hpp"
 #include "nn/gemm.hpp"
 #include "nn/models.hpp"
 #include "nn/tensor.hpp"
@@ -32,8 +35,8 @@ class ParallelDeterminism : public ::testing::Test {
 };
 
 TEST_F(ParallelDeterminism, GemmMatchesSerialAcrossThreadCounts) {
-  // m spans several row-blocks so the parallel path really splits the work;
-  // 30% zeros exercises the sparse (zero-skipping) kernel.
+  // m spans several row chunks so the parallel path really splits the work;
+  // 30% zeros exercises the dropping of all-zero tile columns.
   const std::size_t m = 150, k = 64, n = 48;
   const auto a = random_vec(m * k, 1, 0.3);
   const auto b = random_vec(k * n, 2);
@@ -70,36 +73,80 @@ TEST_F(ParallelDeterminism, GemmAccumulateMatchesSerial) {
   }
 }
 
-TEST_F(ParallelDeterminism, GemmDenseAndSparseModesAgreeOnNonzeroData) {
-  // With no exact zeros in A the zero-skip test never fires, so the dense
-  // and sparse kernels must produce identical bits.
-  const std::size_t m = 40, k = 31, n = 23;
-  const auto a = random_vec(m * k, 6);
-  const auto b = random_vec(k * n, 7);
-  std::vector<float> dense(m * n);
-  std::vector<float> sparse(m * n);
-  gemm(a.data(), b.data(), dense.data(), m, k, n, false, GemmMode::Dense);
-  gemm(a.data(), b.data(), sparse.data(), m, k, n, false, GemmMode::Sparse);
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    ASSERT_EQ(dense[i], sparse[i]) << "index " << i;
+using gemm_ref::float_bits;
+using gemm_ref::reference_gemm;
+
+TEST_F(ParallelDeterminism, GemmTileEdgesMatchAscendingKReference) {
+  // Every ragged edge of the 6 x 8 register tile and of the k-block, with
+  // 60% exact zeros in A (whole tile columns get dropped) and both C modes.
+  std::vector<std::array<std::size_t, 3>> shapes;  // {m, k, n}
+  for (std::size_t m : {1, 2, 5, 6, 7, 13, 65}) {
+    for (std::size_t n : {1, 3, 4, 7, 8, 9, 17, 96}) {
+      for (std::size_t k : {1, 25, 256, 257}) shapes.push_back({m, k, n});
+    }
+  }
+  // M below one tile and N above one column chunk: the column split.
+  shapes.push_back({1, 300, 1100});
+  shapes.push_back({5, 257, 1031});
+  std::uint64_t seed = 100;
+  for (const auto& [m, k, n] : shapes) {
+    const auto a = random_vec(m * k, ++seed, 0.6);
+    const auto b = random_vec(k * n, ++seed);
+    const auto base = random_vec(m * n, ++seed);
+    for (bool accumulate : {false, true}) {
+      std::vector<float> ref = base;
+      reference_gemm(a.data(), b.data(), ref.data(), m, k, n, accumulate);
+      for (unsigned threads : {1U, 2U, 8U}) {
+        set_global_threads(threads);
+        std::vector<float> out = base;
+        gemm(a.data(), b.data(), out.data(), m, k, n, accumulate);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(float_bits(out[i]), float_bits(ref[i]))
+              << m << "x" << k << "x" << n << " accumulate " << accumulate
+              << " threads " << threads << " index " << i;
+        }
+      }
+    }
   }
 }
 
-TEST_F(ParallelDeterminism, GemvMatchesSerialAcrossThreadCounts) {
-  const std::size_t m = 600, n = 37;
-  const auto a = random_vec(m * n, 8, 0.2);
-  const auto x = random_vec(n, 9);
+/// FNV-1a over the little-endian bytes of each float.
+std::uint64_t fnv1a(const Tensor& t) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (float v : t.data()) {
+    const std::uint32_t u = float_bits(v);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
 
-  set_global_threads(1);
-  std::vector<float> ref(m);
-  gemv(a.data(), x.data(), ref.data(), m, n);
-
-  for (unsigned threads : {2U, 8U}) {
-    set_global_threads(threads);
-    std::vector<float> out(m, -1.0F);
-    gemv(a.data(), x.data(), out.data(), m, n);
-    for (std::size_t i = 0; i < m; ++i) {
-      ASSERT_EQ(out[i], ref[i]) << "threads " << threads << " row " << i;
+TEST_F(ParallelDeterminism, GraphForwardMatchesGoldenHashes) {
+  // Pins the forward outputs of three zoo models (default weight seeds, two
+  // uniform [0, 1) probes from seed 2020) to hashes recorded before the
+  // register-tiled GEMM replaced the scalar kernel: any change in nn float
+  // summation order shows up here.
+  struct Golden {
+    Model (*make)(std::uint64_t);
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {make_lenet5, 1, 0x60d5f5b9736c9ceaULL},
+      {make_alexnet, 2, 0xede4d7a1e45e2969ULL},
+      {make_mobilenet, 4, 0xef4e89a3541c343bULL},
+  };
+  for (const Golden& g : goldens) {
+    const Model m = g.make(g.seed);
+    Tensor input({2, m.input_size, m.input_size, m.input_channels});
+    Xoshiro256pp rng(2020);
+    for (auto& v : input.data()) v = static_cast<float>(rng.uniform());
+    for (unsigned threads : {1U, 8U}) {
+      set_global_threads(threads);
+      EXPECT_EQ(fnv1a(m.graph.forward(input)), g.hash)
+          << m.name << " threads " << threads;
     }
   }
 }
