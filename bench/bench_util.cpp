@@ -1,7 +1,6 @@
 #include "bench_util.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,7 +9,6 @@
 #include <sstream>
 #include <system_error>
 
-#include "accel/summary.hpp"
 #include "nn/serialize.hpp"
 #include "nn/train.hpp"
 #include "obs/jsonfmt.hpp"
@@ -239,95 +237,6 @@ DeltaSweep simulate_delta_sweep(const accel::AcceleratorSim& sim,
     record(sim.simulate(summary, &plan));
   }
   return out;
-}
-
-double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
-
-std::string load_key(double load) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "l%03d",
-                static_cast<int>(std::lround(load * 100.0)));
-  return buf;
-}
-
-std::map<std::string, double> flatten(const eval::ServingSweepResult& r) {
-  std::map<std::string, double> out;
-  out["capacity_rps"] = r.capacity_rps;
-  for (std::size_t c = 0; c < r.profiles.size(); ++c) {
-    const std::string base = "profile." + r.class_names[c];
-    out[base + ".full_cycles"] =
-        static_cast<double>(r.profiles[c].full_cycles.value());
-    out[base + ".marginal_cycles"] =
-        static_cast<double>(r.profiles[c].marginal_cycles.value());
-  }
-  for (const eval::ServingPoint& pt : r.points) {
-    const std::string base = pt.scheduler + "." + load_key(pt.offered_load);
-    const auto add_class = [&](const std::string& key,
-                               const serve::ClassServeStats& s) {
-      out[key + ".offered"] = static_cast<double>(s.offered);
-      out[key + ".completed"] = static_cast<double>(s.completed);
-      out[key + ".shed"] = static_cast<double>(s.shed);
-      out[key + ".shed_rate"] = s.shed_rate;
-      out[key + ".p50_cycles"] = finite_or_zero(s.latency.p50);
-      out[key + ".p99_cycles"] = finite_or_zero(s.latency.p99);
-      out[key + ".p999_cycles"] = finite_or_zero(s.latency.p999);
-      out[key + ".mean_cycles"] = finite_or_zero(s.latency.mean);
-    };
-    add_class(base, pt.result.aggregate);
-    for (const serve::ClassServeStats& s : pt.result.per_class) {
-      add_class(base + "." + s.name, s);
-    }
-    out[base + ".goodput_rps"] = pt.result.goodput_rps;
-    out[base + ".batches"] = static_cast<double>(pt.result.batches);
-    out[base + ".mean_batch_size"] = pt.result.mean_batch_size;
-    out[base + ".makespan_cycles"] =
-        static_cast<double>(pt.result.makespan.value());
-  }
-  return out;
-}
-
-ServingWorkload serving_workload(const std::string& dir,
-                                 obs::RunManifest& m) {
-  TrainedLenet lenet = trained_lenet(dir);
-  eval::EvalConfig ecfg;
-  ecfg.topk = 1;
-  eval::DeltaEvaluator ev(lenet.model, lenet.test, ecfg);
-  const eval::DeltaPoint d8 = ev.evaluate(8.0);
-  const accel::ModelSummary lenet_summary = accel::summarize(lenet.model);
-
-  ServingWorkload w;
-  w.classes.resize(3);
-  serve::RequestClass& d0 = w.classes[0];
-  d0.name = "lenet_d0";
-  d0.tenant = 0;
-  d0.tenant_weight = 4.0;
-  d0.mix_fraction = 0.45;
-  d0.summary = lenet_summary;
-  serve::RequestClass& c8 = w.classes[1];
-  c8.name = "lenet_d8";
-  c8.tenant = 0;
-  c8.tenant_weight = 4.0;
-  c8.mix_fraction = 0.35;
-  c8.summary = lenet_summary;
-  c8.plan[ev.selected_layer()] = d8.compression;
-  serve::RequestClass& alex = w.classes[2];
-  alex.name = "alexnet_d0";
-  alex.tenant = 1;
-  alex.tenant_weight = 1.0;
-  alex.mix_fraction = 0.20;
-  alex.summary = accel::summarize(nn::make_alexnet());
-
-  w.config.serve.accel.noc_window_flits = noc_window();
-  w.config.serve.queue.capacity = 64;
-  w.config.serve.batch.max_batch = 4;
-  w.config.serve.batch.max_wait = units::Cycles{200'000};
-
-  ev.annotate_manifest(m);
-  m.metrics["lenet_d8_accuracy"] = d8.accuracy;
-  for (const serve::RequestClass& c : w.classes) {
-    m.metrics["class." + c.name + ".tenant"] = c.tenant;
-  }
-  return w;
 }
 
 }  // namespace nocw::bench

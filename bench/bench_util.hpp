@@ -17,7 +17,6 @@
 
 #include "accel/simulator.hpp"
 #include "eval/flow.hpp"
-#include "eval/serving.hpp"
 #include "nn/digits.hpp"
 #include "nn/models.hpp"
 #include "obs/manifest.hpp"
@@ -100,38 +99,5 @@ DeltaSweep simulate_delta_sweep(const accel::AcceleratorSim& sim,
                                 const accel::ModelSummary& summary,
                                 const std::string& layer,
                                 const std::vector<eval::DeltaPoint>& points);
-
-/// `v`, or 0 when it is not finite (the latency percentiles of a class
-/// that completed nothing are NaN).
-double finite_or_zero(double v);
-
-/// Grid-point key of an offered load: 0.9 -> "l090".
-std::string load_key(double load);
-
-/// Every number of a serving sweep: capacity_rps, per-class
-/// profile.<class>.{full,marginal}_cycles, and per grid point
-/// "<scheduler>.<load_key>[.<class>].<field>" for the aggregate and each
-/// class (offered, completed, shed, shed_rate, p50/p99/p999/mean_cycles)
-/// plus the point's goodput_rps, batches, mean_batch_size and
-/// makespan_cycles. Two sweeps are bit-identical iff their flattenings are
-/// equal.
-std::map<std::string, double> flatten(const eval::ServingSweepResult& r);
-
-/// The serving benches' workload (DESIGN.md §14): three request classes on
-/// one accelerator —
-///   lenet_d0   LeNet-5, uncompressed         (tenant 0, weight 4, 45%)
-///   lenet_d8   LeNet-5, δ=8% compressed      (tenant 0, weight 4, 35%)
-///   alexnet_d0 AlexNet, uncompressed         (tenant 1, weight 1, 20%)
-/// — and the sweep settings both benches share (NoC window, queue bound 64,
-/// batches of <= 4 held <= 200k cycles). Tenant 0 is the interactive
-/// majority; AlexNet is the heavy tenant whose head-of-line blocking
-/// SJF/priority exist to cut. Trains or loads LeNet-5 from `dir` and
-/// records the evaluator, the δ=8% accuracy and each class's tenant in `m`.
-struct ServingWorkload {
-  std::vector<serve::RequestClass> classes;
-  eval::ServingSweepConfig config;
-};
-ServingWorkload serving_workload(const std::string& dir,
-                                 obs::RunManifest& m);
 
 }  // namespace nocw::bench

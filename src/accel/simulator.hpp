@@ -87,11 +87,10 @@ using CompressionPlan = std::map<std::string, LayerCompression>;
 /// Plan under which every weighted traffic-bearing layer streams *zero*
 /// weight bits and performs zero decompress steps: the weights are already
 /// resident in the PE local memories from a previous inference of the same
-/// model. Feature-map traffic and MAC work are untouched. The serving
-/// layer simulates each request class once with its real plan (cold cost)
-/// and once with this plan (marginal batched cost); the gap is exactly the
-/// weight traffic batching amortizes — the same traffic the paper's
-/// compression attacks.
+/// model. Feature-map traffic and MAC work are untouched, so against the
+/// full plan it is the zero-weight-traffic bound: the latency and energy
+/// left once no weight crosses memory or the NoC, i.e. the most any
+/// weight compression could save.
 [[nodiscard]] CompressionPlan resident_weights_plan(
     const ModelSummary& summary);
 

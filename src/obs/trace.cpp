@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 
-#include "obs/trace_context.hpp"
 #include "util/env.hpp"
 
 namespace nocw::obs {
@@ -47,7 +47,6 @@ struct CategoryName {
 constexpr CategoryName kCategoryNames[] = {
     {"noc", kCatNoc},       {"mac", kCatMac},   {"decomp", kCatDecomp},
     {"layer", kCatLayer},   {"mem", kCatMem},   {"eval", kCatEval},
-    {"serve", kCatServe},
 };
 
 thread_local std::uint64_t tl_time_base = 0;
@@ -57,16 +56,34 @@ thread_local std::uint64_t tl_time_base = 0;
 std::uint32_t parse_categories(const std::string& csv) noexcept {
   if (csv.empty() || csv == "all") return kCatAll;
   std::uint32_t mask = 0;
+  std::string unknown;
   std::size_t start = 0;
   while (start <= csv.size()) {
     std::size_t end = csv.find(',', start);
     if (end == std::string::npos) end = csv.size();
     const std::string token = csv.substr(start, end - start);
-    if (token == "all") return kCatAll;
+    bool known = token == "all";
+    if (known) mask = kCatAll;
     for (const auto& [name, bit] : kCategoryNames) {
-      if (token == name) mask |= bit;
+      if (token == name) {
+        mask |= bit;
+        known = true;
+      }
+    }
+    if (!known && !token.empty()) {
+      unknown += (unknown.empty() ? "\"" : ", \"") + token + "\"";
     }
     start = end + 1;
+  }
+  if (!unknown.empty()) {
+    std::string names;
+    for (const CategoryName& c : kCategoryNames) {
+      names += std::string(c.name) + ", ";
+    }
+    std::fprintf(stderr,
+                 "nocw: NOCW_TRACE_CATEGORIES: ignoring unknown category %s "
+                 "(known: %sall)\n",
+                 unknown.c_str(), names.c_str());
   }
   return mask;
 }
@@ -104,19 +121,6 @@ void Tracer::set_buffer_capacity(std::size_t cap) noexcept {
                          std::memory_order_relaxed);
 }
 
-void stamp(TraceEvent& ev, const TraceContext& ctx) noexcept {
-  ev.trace_id = ctx.trace_id;
-  ev.span_id = ctx.span_id;
-  ev.parent_span_id = ctx.parent_span_id;
-}
-
-void stamp(TraceEvent& ev, std::uint64_t trace_id, std::uint64_t span_id,
-           std::uint64_t parent_span_id) noexcept {
-  ev.trace_id = trace_id;
-  ev.span_id = span_id;
-  ev.parent_span_id = parent_span_id;
-}
-
 Tracer::Buffer& Tracer::local_buffer() {
   // One buffer per (tracer, thread). The raw pointer is safe because the
   // tracer is a process-lifetime singleton and buffers are never removed.
@@ -133,10 +137,6 @@ Tracer::Buffer& Tracer::local_buffer() {
 
 void Tracer::record(TraceEvent ev) {
   ev.ts += tl_time_base;
-  if (ev.trace_id == 0) {
-    const TraceContext& ctx = trace_context();
-    if (ctx.valid()) stamp(ev, ctx);
-  }
   Buffer& buf = local_buffer();
   ++buf.total;
   if (buf.ring.size() < buffer_capacity()) {

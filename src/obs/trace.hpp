@@ -41,7 +41,6 @@ enum Category : std::uint32_t {
   kCatLayer = 1u << 3,   ///< layer begin/end markers
   kCatMem = 1u << 4,     ///< DRAM phase spans
   kCatEval = 1u << 5,    ///< evaluation-driver spans
-  kCatServe = 1u << 6,   ///< serving layer: enqueue/shed/batch/request
   kCatAll = 0xffffffffu,
 };
 
@@ -51,9 +50,9 @@ inline constexpr std::uint32_t kPidAccel = 1;   ///< layer/phase spans
 inline constexpr std::uint32_t kPidNoc = 2;     ///< per-router instants
 inline constexpr std::uint32_t kPidDecomp = 3;  ///< decompressor FSM
 inline constexpr std::uint32_t kPidEval = 4;    ///< evaluation drivers
-inline constexpr std::uint32_t kPidServe = 5;   ///< serving layer (ServeSim)
 
-/// "noc,mac" -> mask; "all"/"" -> kCatAll; unknown names are ignored.
+/// "noc,mac" -> mask; "all"/"" -> kCatAll. Unknown names are ignored, and
+/// one stderr line per call names every one of them.
 [[nodiscard]] std::uint32_t parse_categories(const std::string& csv) noexcept;
 
 /// One trace event. ph follows the Chrome trace format: 'i' instant,
@@ -68,25 +67,7 @@ struct TraceEvent {
   std::uint64_t dur = 0;  ///< span length in cycles ('X' only)
   const char* arg_name = nullptr;  ///< optional single numeric arg (static)
   double arg = 0.0;
-  /// Request attribution (obs/trace_context.hpp). Zero = unattributed;
-  /// Tracer::record() fills these from the thread-local context when the
-  /// event does not carry its own, so a serving-driver replay re-parents
-  /// the accel/noc phase spans under the owning request's span tree.
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_span_id = 0;
 };
-
-struct TraceContext;  // obs/trace_context.hpp
-
-/// Copy `ctx` onto `ev`'s attribution fields. Lives here (not in callers)
-/// so the layering.trace-ctx rule (tools/nocw_analyze.py) can pin raw
-/// trace-id writes to the trace plumbing itself.
-void stamp(TraceEvent& ev, const TraceContext& ctx) noexcept;
-/// Raw-id overload for re-emitting stored span trees (serve/reqtrace):
-/// same layering boundary, no TraceContext required.
-void stamp(TraceEvent& ev, std::uint64_t trace_id, std::uint64_t span_id,
-           std::uint64_t parent_span_id) noexcept;
 
 class Tracer {
  public:

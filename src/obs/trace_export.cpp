@@ -15,7 +15,6 @@ const char* process_name(std::uint32_t pid) noexcept {
     case kPidNoc: return "noc";
     case kPidDecomp: return "decompressor";
     case kPidEval: return "eval";
-    case kPidServe: return "serving";
     default: return "nocw";
   }
 }
@@ -28,19 +27,8 @@ const char* category_label(std::uint32_t cat) noexcept {
     case kCatLayer: return "layer";
     case kCatMem: return "mem";
     case kCatEval: return "eval";
-    case kCatServe: return "serve";
     default: return "misc";
   }
-}
-
-/// 16-hex-digit id string. Ids are exported as strings, not JSON numbers:
-/// span ids routinely exceed 2^53 and would silently lose bits in any
-/// double-based JSON reader (including Perfetto's).
-std::string hex_id(std::uint64_t id) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(id));
-  return std::string(buf);
 }
 
 std::string json_escape(const std::string& s) {
@@ -79,25 +67,10 @@ std::string to_chrome_json(std::span<const TraceEvent> events) {
     if (ev.ph == 'X') os << ",\"dur\":" << ev.dur;
     os << ",\"pid\":" << ev.pid << ",\"tid\":" << ev.tid;
     if (ev.ph == 'i') os << ",\"s\":\"t\"";  // instant scope: thread
-    const bool has_ids = ev.trace_id != 0;
-    if (ev.arg_name != nullptr || has_ids) {
-      os << ",\"args\":{";
-      bool first_arg = true;
-      if (ev.arg_name != nullptr) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", ev.arg);
-        os << "\"" << ev.arg_name << "\":" << buf;
-        first_arg = false;
-      }
-      if (has_ids) {
-        if (!first_arg) os << ",";
-        os << "\"trace\":\"" << hex_id(ev.trace_id) << "\",\"span\":\""
-           << hex_id(ev.span_id) << "\"";
-        if (ev.parent_span_id != 0) {
-          os << ",\"parent\":\"" << hex_id(ev.parent_span_id) << "\"";
-        }
-      }
-      os << "}";
+    if (ev.arg_name != nullptr) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g", ev.arg);
+      os << ",\"args\":{\"" << ev.arg_name << "\":" << buf << "}";
     }
     os << "}";
   }

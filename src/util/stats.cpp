@@ -31,31 +31,6 @@ double percentile(std::span<const double> samples, double p) {
   return percentile_sorted(sorted, p);
 }
 
-TailPercentiles tail_percentiles_sorted(std::span<const double> sorted) {
-  TailPercentiles t;
-  t.count = sorted.size();
-  if (sorted.empty()) {
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    t.mean = t.p50 = t.p90 = t.p99 = t.p999 = t.max = nan;
-    return t;
-  }
-  double acc = 0.0;
-  for (double v : sorted) acc += v;
-  t.mean = acc / static_cast<double>(sorted.size());
-  t.p50 = percentile_sorted(sorted, 50.0);
-  t.p90 = percentile_sorted(sorted, 90.0);
-  t.p99 = percentile_sorted(sorted, 99.0);
-  t.p999 = percentile_sorted(sorted, 99.9);
-  t.max = sorted.back();
-  return t;
-}
-
-TailPercentiles tail_percentiles(std::span<const double> samples) {
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  return tail_percentiles_sorted(sorted);
-}
-
 double mean_squared_error(std::span<const float> a, std::span<const float> b) {
   NOCW_CHECK_EQ(a.size(), b.size());
   if (a.empty()) return 0.0;

@@ -78,29 +78,6 @@ double percentile_sorted(std::span<const double> sorted, double p);
 /// form when extracting several percentiles from one sample set.
 double percentile(std::span<const double> samples, double p);
 
-/// The serving layer's tail summary: p50/p90/p99/p99.9 plus mean/max, all
-/// from one sort. Every field follows percentile_sorted's determinism
-/// contract (empty -> quiet NaN everywhere except count, single sample ->
-/// that sample for every p, all-equal -> that value, exact integer ranks
-/// short-circuit without interpolation). p99.9 needs >= 1001 samples before
-/// it stops degenerating to the max — callers report it anyway; the
-/// interpolation is still deterministic, just max-dominated.
-struct TailPercentiles {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-  double max = 0.0;
-};
-
-/// Tail summary of `sorted` (ascending; checked in debug builds).
-TailPercentiles tail_percentiles_sorted(std::span<const double> sorted);
-
-/// As tail_percentiles_sorted, but copies and sorts internally.
-TailPercentiles tail_percentiles(std::span<const double> samples);
-
 /// Mean squared error between two equally sized sequences.
 double mean_squared_error(std::span<const float> a, std::span<const float> b);
 

@@ -117,6 +117,51 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.energy.total().value(), b.energy.total().value());
 }
 
+TEST(Simulator, ResidentWeightsPlanStripsOnlyTheWeightStream) {
+  // The zero-weight-traffic bound: the weights already sit in the PE
+  // memories, so no weight bit crosses memory or the NoC and nothing is
+  // decompressed, while feature-map traffic and MAC work stay as in the
+  // full plan.
+  const ModelSummary s = summarize(nn::make_lenet5());
+  const AccelConfig cfg = fast_cfg();
+  const AcceleratorSim sim(cfg);
+  const CompressionPlan plan = resident_weights_plan(s);
+  const InferenceResult full = sim.simulate(s);
+  const InferenceResult resident = sim.simulate(s, &plan);
+
+  ASSERT_EQ(resident.layers.size(), full.layers.size());
+  std::size_t weighted = 0;
+  for (std::size_t i = 0; i < full.layers.size(); ++i) {
+    const LayerResult& f = full.layers[i];
+    const LayerResult& r = resident.layers[i];
+    ASSERT_EQ(r.name, f.name);
+    EXPECT_EQ(r.latency.compute_cycles.value(),
+              f.latency.compute_cycles.value())
+        << f.name;
+    // One link-width word is one flit, so the full plan's feature-map
+    // traffic is its total minus the weight stream's words.
+    const units::Flits weight_flits = units::flits_of(units::to_words(
+        f.weight_stream_bits,
+        static_cast<std::uint64_t>(cfg.noc.link_width_bits)));
+    EXPECT_EQ(r.total_flits.value(), f.total_flits.value() -
+                                         weight_flits.value())
+        << f.name;
+
+    const LayerSummary* layer = s.find(f.name);
+    ASSERT_NE(layer, nullptr);
+    if (layer->weight_count == 0) continue;
+    ++weighted;
+    const auto entry = plan.find(f.name);
+    ASSERT_NE(entry, plan.end()) << f.name;
+    EXPECT_EQ(entry->second.weight_count, 0u) << f.name;  // decompress steps
+    EXPECT_GT(f.weight_stream_bits.value(), 0u) << f.name;
+    EXPECT_EQ(r.weight_stream_bits.value(), 0u) << f.name;
+  }
+  EXPECT_GT(weighted, 0u);
+  EXPECT_EQ(weighted, plan.size());
+  EXPECT_LT(resident.latency.total().value(), full.latency.total().value());
+}
+
 TEST(Simulator, MobilenetSimulatesInReasonableTime) {
   const ModelSummary s = summarize(nn::make_mobilenet());
   AcceleratorSim sim(fast_cfg());

@@ -21,6 +21,7 @@
 #include "nn/models.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nocw::obs {
 namespace {
@@ -48,12 +49,24 @@ char ph_field(const std::string& line) {
   return pos == std::string::npos ? '?' : line[pos + 6];
 }
 
-std::string generate_trace_json() {
+// Opens every trace gate and empties the buffers.
+void begin_trace() {
   Tracer::set_enabled(true);
   Tracer::set_categories(kCatAll);
   Tracer::set_sample_every(1);
   Tracer::global().clear();
+}
 
+// Exports what was recorded since begin_trace() and closes the gate.
+std::string end_trace() {
+  const std::string json = to_chrome_json(Tracer::global().collect());
+  Tracer::global().clear();
+  Tracer::set_enabled(false);
+  return json;
+}
+
+// One compressed LeNet-5 inference through the accelerator simulator.
+void simulate_lenet5() {
   // Small NoC windows keep the cycle engine fast while still producing
   // thousands of hop/inject/eject events.
   accel::AccelConfig cfg;
@@ -70,6 +83,11 @@ std::string generate_trace_json() {
   }
   const accel::AcceleratorSim sim(cfg);
   (void)sim.simulate(summary, &plan);
+}
+
+std::string generate_trace_json() {
+  begin_trace();
+  simulate_lenet5();
 
   // Drive the FSM model for decomp.load/init/run events. Constructed after
   // set_enabled so its cached gate is open.
@@ -77,10 +95,17 @@ std::string generate_trace_json() {
   unit.load({0.25F, 1.0F, 16});
   while (unit.busy()) (void)unit.tick();
 
-  const std::string json = to_chrome_json(Tracer::global().collect());
-  Tracer::global().clear();
-  Tracer::set_enabled(false);
-  return json;
+  return end_trace();
+}
+
+/// FNV-1a over the bytes of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 TEST(TraceSchema, ChromeTraceValidatesLineWise) {
@@ -161,6 +186,23 @@ TEST(TraceSchema, EveryLayerMarkerMatchesAMacroLayer) {
   // The ring may drop the oldest events under very small NOCW_TRACE_BUF
   // overrides, but with defaults every macro layer must be marked.
   EXPECT_EQ(markers, summary.macro_layers().size());
+}
+
+TEST(TraceSchema, LeNet5ExportMatchesGoldenHash) {
+  // Pins the Chrome/Perfetto export of one traced LeNet-5 inference byte
+  // for byte. The hash was recorded while TraceEvent still carried
+  // request-attribution ids (emitted only when set, and nothing here set
+  // them), so it also proves their removal left the export unchanged. The
+  // same bytes come out at 1 and 2 threads.
+  constexpr std::uint64_t kGolden = 0xcf2f61a939b8ea9dULL;
+  const unsigned saved = global_thread_count();
+  for (const unsigned threads : {1U, 2U}) {
+    set_global_threads(threads);
+    begin_trace();
+    simulate_lenet5();
+    EXPECT_EQ(fnv1a(end_trace()), kGolden) << "threads " << threads;
+  }
+  set_global_threads(saved);
 }
 
 #endif  // NOCW_TRACE_DISABLED

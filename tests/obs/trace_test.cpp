@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -68,6 +69,29 @@ TEST(TraceStatic, ParseCategories) {
   EXPECT_EQ(parse_categories("decomp,layer,mem,eval"),
             kCatDecomp | kCatLayer | kCatMem | kCatEval);
   EXPECT_EQ(parse_categories("noc,bogus"), kCatNoc);  // unknown ignored
+}
+
+TEST(TraceStatic, UnknownCategoriesWarnByName) {
+  // A name that selects nothing (a typo, or a family that no longer exists)
+  // must not silently trace nothing: one stderr line names every such token.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(parse_categories("serve,noc,bogus"), kCatNoc);
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("NOCW_TRACE_CATEGORIES"), std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find("\"serve\", \"bogus\""), std::string::npos)
+      << warning;
+  EXPECT_EQ(std::count(warning.begin(), warning.end(), '\n'), 1) << warning;
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(parse_categories("bogus,all"), kCatAll);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("\"bogus\""),
+            std::string::npos);
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(parse_categories("noc,mac"), kCatNoc | kCatMac);
+  EXPECT_EQ(parse_categories("all"), kCatAll);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 TEST_F(TraceTest, CollectSortsByPidTidTs) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -113,85 +112,6 @@ TEST(Percentile, UnsortedConvenienceFormSorts) {
   EXPECT_DOUBLE_EQ(percentile(v, 50.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 100.0), 9.0);
-}
-
-TEST(TailPercentiles, EmptyIsNaNWithZeroCount) {
-  const TailPercentiles t = tail_percentiles_sorted({});
-  EXPECT_EQ(t.count, 0u);
-  EXPECT_TRUE(std::isnan(t.mean));
-  EXPECT_TRUE(std::isnan(t.p50));
-  EXPECT_TRUE(std::isnan(t.p90));
-  EXPECT_TRUE(std::isnan(t.p99));
-  EXPECT_TRUE(std::isnan(t.p999));
-  EXPECT_TRUE(std::isnan(t.max));
-}
-
-TEST(TailPercentiles, SingleSampleIsThatSampleEverywhere) {
-  const std::vector<double> one{42.0};
-  const TailPercentiles t = tail_percentiles_sorted(one);
-  EXPECT_EQ(t.count, 1u);
-  EXPECT_DOUBLE_EQ(t.mean, 42.0);
-  EXPECT_DOUBLE_EQ(t.p50, 42.0);
-  EXPECT_DOUBLE_EQ(t.p90, 42.0);
-  EXPECT_DOUBLE_EQ(t.p99, 42.0);
-  EXPECT_DOUBLE_EQ(t.p999, 42.0);
-  EXPECT_DOUBLE_EQ(t.max, 42.0);
-}
-
-TEST(TailPercentiles, AllEqualSamples) {
-  const std::vector<double> same(7, 3.5);
-  const TailPercentiles t = tail_percentiles_sorted(same);
-  EXPECT_DOUBLE_EQ(t.p50, 3.5);
-  EXPECT_DOUBLE_EQ(t.p999, 3.5);
-  EXPECT_DOUBLE_EQ(t.max, 3.5);
-}
-
-TEST(TailPercentiles, SmallSampleP999DegeneratesTowardMax) {
-  // n = 100: the p99.9 rank lands between the last two order statistics,
-  // so the value interpolates into the max — documented degeneration.
-  std::vector<double> v(100);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<double>(i + 1);
-  }
-  const TailPercentiles t = tail_percentiles_sorted(v);
-  EXPECT_DOUBLE_EQ(t.max, 100.0);
-  EXPECT_GT(t.p999, t.p99);
-  EXPECT_GE(t.p999, 99.0);
-  EXPECT_LE(t.p999, 100.0);
-  // numpy.percentile(1..100, [50, 90, 99]) -> 50.5, 90.1, 99.01
-  EXPECT_DOUBLE_EQ(t.p50, 50.5);
-  EXPECT_DOUBLE_EQ(t.p90, 90.1);
-  EXPECT_DOUBLE_EQ(t.p99, 99.01);
-}
-
-TEST(TailPercentiles, ExactRanksAt1001Samples) {
-  // n = 1001: ranks for 50/90/99/99.9 are all integers, so every field is
-  // an exact order statistic with no interpolation.
-  std::vector<double> v(1001);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<double>(i);
-  }
-  const TailPercentiles t = tail_percentiles_sorted(v);
-  EXPECT_DOUBLE_EQ(t.p50, 500.0);
-  EXPECT_DOUBLE_EQ(t.p90, 900.0);
-  EXPECT_DOUBLE_EQ(t.p99, 990.0);
-  EXPECT_DOUBLE_EQ(t.p999, 999.0);
-  EXPECT_DOUBLE_EQ(t.max, 1000.0);
-  EXPECT_DOUBLE_EQ(t.mean, 500.0);
-}
-
-TEST(TailPercentiles, UnsortedConvenienceFormMatchesSorted) {
-  const std::vector<double> unsorted{9.0, 1.0, 5.0, 3.0, 7.0};
-  std::vector<double> sorted = unsorted;
-  std::sort(sorted.begin(), sorted.end());
-  const TailPercentiles a = tail_percentiles(unsorted);
-  const TailPercentiles b = tail_percentiles_sorted(sorted);
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_DOUBLE_EQ(a.mean, b.mean);
-  EXPECT_DOUBLE_EQ(a.p50, b.p50);
-  EXPECT_DOUBLE_EQ(a.p99, b.p99);
-  EXPECT_DOUBLE_EQ(a.p999, b.p999);
-  EXPECT_DOUBLE_EQ(a.max, b.max);
 }
 
 TEST(Mse, IdenticalIsZero) {

@@ -46,13 +46,7 @@ and an allow-list (the one audited home of the banned construct):
     .route         dor_next_hop() outside noc/routing.{cpp,hpp} and
                    noc/router.cpp (src/): next hops come from the RouteTable;
     .engine        direct Network::step() calls outside noc/network.{cpp,hpp};
-                   callers use run_until_drained()/advance_idle();
-    .serve         AcceleratorSim simulate()/simulate_layer() in src/serve/
-                   outside serve_sim.cpp;
-    .trace-ctx     TraceContext aggregate init or a raw `.trace_id =` in src/
-                   or bench/ outside the trace plumbing and the one root mint
-                   (serve/trace_ids.cpp);
-    .slo           slo_window_start() in src/ or bench/ outside obs/slo.
+                   callers use run_until_drained()/advance_idle().
 
 Comments and the contents of string and character literals are blanked
 before any rule runs, so a rule name in prose or in a message never fires.
@@ -224,28 +218,6 @@ LINE_RULES = (
              "direct step() call outside the NoC engine; drive the network "
              "with run_until_drained() / advance_idle() so the selected "
              "engine (event or dense) stays on the audited drain path")),
-    Rule("layering", "serve",
-         re.compile(r"(?:\.|->)\s*simulate(?:_layer)?\s*\("),
-         ("src/serve/",), ("src/serve/serve_sim.cpp",), (
-             "direct AcceleratorSim simulate call outside the ServeSim "
-             "driver; serving code consults the precomputed ServiceProfiles "
-             "so request timing stays on the one audited accelerator path")),
-    Rule("layering", "trace-ctx",
-         # Aggregate init (`TraceContext{...}`, `TraceContext ctx{...}`) or
-         # a raw trace-id field write.
-         re.compile(r"\bTraceContext\s*\w*\s*\{|\.trace_id\s*=(?!=)"),
-         ("src/", "bench/"),
-         ("src/obs/trace_context.hpp", "src/obs/trace_context.cpp",
-          "src/obs/trace.cpp", "src/serve/trace_ids.cpp"), (
-             "TraceContext construction / raw trace_id write outside the "
-             "trace plumbing; mint roots with serve::request_trace_context "
-             "and derive children with obs::derive_child so span ids stay a "
-             "pure function of the trace seed")),
-    Rule("layering", "slo", re.compile(r"\bslo_window_start\s*\("),
-         ("src/", "bench/"), ("src/obs/slo.hpp", "src/obs/slo.cpp"), (
-             "slo_window_start() outside obs/slo; one tumbling alignment "
-             "keeps windows, burn rates and exemplar pins mutually "
-             "consistent")),
 )
 RULE_KEYS = frozenset({f"{r.pass_name}.{r.rule}" for r in LINE_RULES}
                       | {"units.vocab", "output.manifest"})
@@ -442,26 +414,6 @@ SEEDED = {
     "tests/noc/bad_step_test.cpp": (
         "void tick(nocw::noc::Network* net) { net->step(); }\n",
         ["layering.engine"]),
-    "src/serve/bad_sim.cpp": (
-        "double cost(const nocw::accel::AcceleratorSim& sim,\n"
-        "            const nocw::accel::ModelSummary& s) {\n"
-        "  return sim.simulate(s).latency.total().value();\n"
-        "}\n", ["layering.serve"]),
-    "src/noc/bad_traceid.cpp": (
-        "void forge(nocw::obs::TraceEvent& ev) { ev.trace_id = 7; }\n",
-        ["layering.trace-ctx"]),
-    "src/eval/bad_mint.cpp": (
-        "nocw::obs::TraceContext mint() {\n"
-        "  return nocw::obs::TraceContext{1, 2, 3};\n"
-        "}\n", ["layering.trace-ctx"]),
-    "src/eval/bad_slo.cpp": (
-        "unsigned long align(unsigned long cycle) {\n"
-        "  return nocw::obs::slo_window_start(cycle, 4096);\n"
-        "}\n", ["layering.slo"]),
-    "bench/bad_slo_bench.cpp": (
-        "unsigned long w(unsigned long c) {\n"
-        "  return nocw::obs::slo_window_start(c, 1000);\n"
-        "}\n", ["layering.slo"]),
 }
 
 CLEAN = {
@@ -485,23 +437,6 @@ CLEAN = {
         "}\n",
     "src/noc/network.cpp":
         "void Network::run() { while (!drained()) step(); this->step(); }\n",
-    "src/serve/serve_sim.cpp":
-        "double profile(const AcceleratorSim& sim, const ModelSummary& s) {\n"
-        "  return sim.simulate(s).latency.total().value();\n"
-        "}\n",
-    "src/serve/trace_ids.cpp":
-        "TraceContext request_trace_context(unsigned long seed,\n"
-        "                                   unsigned long request_id) {\n"
-        "  TraceContext ctx;\n"
-        "  ctx.trace_id = seed ^ request_id;\n"
-        "  return ctx;\n"
-        "}\n",
-    "src/obs/trace.cpp":
-        "void stamp(TraceEvent& ev, unsigned long id) { ev.trace_id = id; }\n",
-    "src/obs/slo.cpp":
-        "unsigned long open_window(unsigned long cycle) {\n"
-        "  return slo_window_start(cycle, 4096);\n"
-        "}\n",
     "bench/bench_util.cpp":
         'void emit() { std::printf("== table ==\\n"); }\n'
         "int main() { return 0; }\n",
@@ -572,13 +507,9 @@ CLEAN = {
         "  net.run_until_drained(1000);\n"
         "  (void)net.stats().step_cycles;\n"
         "}\n",
-    "src/serve/good_sched.cpp":
-        "// simulate() in a comment is fine; profiles are the API\n"
-        "unsigned long cost(unsigned long cycles) { return cycles; }\n",
-    "src/eval/good_span.cpp":
-        "nocw::obs::TraceContext child(const nocw::obs::TraceContext& p) {\n"
-        "  return nocw::obs::derive_child(p, 2);\n"
-        "}\n",
+    "src/eval/good_route_comment.cpp":
+        "// dor_next_hop() in a comment is fine; the RouteTable is the API\n"
+        "int hops(int distance) { return distance; }\n",
 }
 
 

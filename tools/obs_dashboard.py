@@ -10,9 +10,6 @@ Inputs (both optional — the dashboard renders whatever is available):
   --summary BENCH_summary.json          schema nocw.bench_summary.v1, the
                                         merged per-bench metric map written
                                         by every bench through bench_util
-  --slo results/slo_windows.json        schema nocw.slo.v1, the per-window
-                                        SLO verdicts + burn rates written
-                                        by bench/ext_reqtrace
 
 Output is ONE html file with inline SVG — no JavaScript, no external
 assets, so it survives as a CI artifact and opens anywhere:
@@ -24,13 +21,8 @@ assets, so it survives as a CI artifact and opens anywhere:
      to its own peak (units differ), with the peak printed in the legend.
   3. δ-trade-off curves: δ (%) vs latency, energy and accuracy per model,
      built from fig10_tradeoff's "<model>.d<delta>.*" summary metrics.
-  4. Serving load sweep: p50/p99/p99.9 latency percentiles and goodput per
-     scheduler, plus (with --slo) the SLO burn-rate panel and a
-     breached-window table whose exemplar trace ids link into the
-     nocw.reqtrace.v1 export.
-  5. A bench summary table (model, git short-sha, wall seconds from the
-     wall_ms metric write_summary stamps, #metrics, trace-sampling drop
-     counters).
+  4. A bench summary table (model, git short-sha, wall seconds from the
+     wall_ms metric write_summary stamps, #metrics).
 
 Usage:
   tools/obs_dashboard.py --timeseries TS.json --summary SUMMARY.json \\
@@ -55,17 +47,6 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 DELTA_KEY_RE = re.compile(r"^(?P<model>.+)\.d(?P<delta>\d+)\."
                           r"(?P<metric>latency_cycles|energy_j|accuracy)$")
-
-# ext_serving's grid keys: "<scheduler>.l<load%>.<metric>", e.g.
-# "sjf.l120.p99_cycles" is SJF at 1.2x capacity.
-SERVING_KEY_RE = re.compile(
-    r"^(?P<sched>[a-z_]+)\.l(?P<load>\d+)\."
-    r"(?P<metric>p50_cycles|p99_cycles|p999_cycles|goodput_rps)$")
-
-# Trace-sampling drop accounting published by ext_reqtrace: per-point
-# "<sched>.l<load%>.dropped_trees" plus the global exemplar_drops.
-TRACE_DROP_KEY_RE = re.compile(r"(^|\.)(dropped_trees|exemplar_drops)$")
-
 
 def fmt(v: float) -> str:
     return f"{v:g}"
@@ -235,92 +216,6 @@ def delta_curves(benches: dict) -> list[str]:
     return charts
 
 
-def serving_curves(benches: dict) -> list[str]:
-    """Latency percentiles (p50/p99/p99.9) and goodput per scheduler, from
-    ext_serving's load-sweep keys."""
-    curves: dict[str, dict[str, list[tuple[float, float]]]] = {}
-    for entry in benches.values():
-        for key, value in entry.get("metrics", {}).items():
-            m = SERVING_KEY_RE.match(key)
-            if m:
-                curves.setdefault(m["metric"], {}).setdefault(
-                    m["sched"], []).append((float(m["load"]) / 100.0, value))
-    charts = []
-    latency = [("p50_cycles", "p50"), ("p99_cycles", "p99"),
-               ("p999_cycles", "p99.9")]
-    if any(metric in curves for metric, _ in latency):
-        chart = Chart("Request latency percentiles vs offered load",
-                      "offered load (fraction of capacity)", "cycles")
-        i = 0
-        for metric, pct in latency:
-            for sched, pts in sorted(curves.get(metric, {}).items()):
-                chart.add_line(f"{sched} {pct}", PALETTE[i % len(PALETTE)],
-                               sorted(pts))
-                i += 1
-        charts.append(chart.render())
-    if "goodput_rps" in curves:
-        chart = Chart("Goodput vs offered load",
-                      "offered load (fraction of capacity)", "requests/s")
-        for i, (sched, pts) in enumerate(
-                sorted(curves["goodput_rps"].items())):
-            chart.add_line(sched, PALETTE[i % len(PALETTE)], sorted(pts))
-        charts.append(chart.render())
-    return charts
-
-
-def slo_panel(slo: dict) -> list[str]:
-    """Burn-rate chart over closed windows plus a breached-window table
-    with exemplar trace links, from a nocw.slo.v1 export."""
-    windows = slo.get("windows", [])
-    if not windows:
-        return []
-    out = []
-    chart = Chart("SLO burn rate at each window close",
-                  "closed window (event order)", "burn (x error budget)")
-    for i, horizon in enumerate(("burn_1w", "burn_4w", "burn_16w")):
-        pts = [(float(w_index), w.get(horizon, 0.0))
-               for w_index, w in enumerate(windows)]
-        chart.add_line(horizon.replace("burn_", "") + " horizon",
-                       PALETTE[i % len(PALETTE)], pts)
-    out.append(chart.render())
-
-    breached = [w for w in windows if w.get("breach_mask", 0)]
-    if breached:
-        rows = []
-        for w in breached:
-            mask = int(w.get("breach_mask", 0))
-            reasons = [name for bit, name in
-                       ((1, "p99"), (2, "p99.9"), (4, "goodput"))
-                       if mask & bit]
-            completions = int(w.get("completions", 0))
-            exemplar = (w.get("exemplar", "") if completions > 0
-                        else w.get("shed_exemplar", ""))
-            rows.append(
-                f"<tr><td>{int(w.get('class_id', 0))}</td>"
-                f"<td>{int(w.get('window_start', 0))}</td>"
-                f"<td>{html.escape('+'.join(reasons) or '—')}</td>"
-                f"<td>{fmt(w.get('burn_1w', 0.0))}</td>"
-                f"<td><code>{html.escape(exemplar)}</code></td></tr>")
-        out.append(
-            f"<p>{len(breached)} of {len(windows)} windows breached. "
-            "Exemplar trace ids resolve in the nocw.reqtrace.v1 export "
-            "(results/reqtrace.json).</p>"
-            "<table><tr><th>class</th><th>window start</th><th>breach</th>"
-            "<th>burn 1w</th><th>exemplar trace</th></tr>"
-            + "".join(rows) + "</table>")
-    return out
-
-
-def trace_drops(entry: dict) -> str:
-    """Total sampled-tree / exemplar drops a bench reported, or an em-dash
-    when it published no drop counters."""
-    keys = [k for k in entry.get("metrics", {})
-            if TRACE_DROP_KEY_RE.search(k)]
-    if not keys:
-        return "—"
-    return fmt(sum(entry["metrics"][k] for k in keys))
-
-
 def summary_table(benches: dict) -> str:
     if not benches:
         return ""
@@ -333,10 +228,9 @@ def summary_table(benches: dict) -> str:
             f"<td>{html.escape(e.get('model', '') or '—')}</td>"
             f"<td><code>{html.escape(sha) or '—'}</code></td>"
             f"<td>{e.get('metrics', {}).get('wall_ms', 0.0) / 1000:.3f}</td>"
-            f"<td>{len(e.get('metrics', {}))}</td>"
-            f"<td>{trace_drops(e)}</td></tr>")
+            f"<td>{len(e.get('metrics', {}))}</td></tr>")
     return ("<table><tr><th>bench</th><th>model</th><th>git sha</th>"
-            "<th>wall s</th><th>metrics</th><th>trace drops</th></tr>"
+            "<th>wall s</th><th>metrics</th></tr>"
             + "".join(rows) + "</table>")
 
 
@@ -357,8 +251,7 @@ td, th { border: 1px solid #ccc; padding: 3px 8px; text-align: left; }
 """
 
 
-def render(timeseries: dict | None, summary: dict | None,
-           slo: dict | None = None) -> str:
+def render(timeseries: dict | None, summary: dict | None) -> str:
     sections = []
     if timeseries is not None:
         series = timeseries.get("series", [])
@@ -371,17 +264,6 @@ def render(timeseries: dict | None, summary: dict | None,
         if charts:
             sections.append("<h2>δ trade-off (fig10_tradeoff)</h2>")
             sections.extend(charts)
-        charts = serving_curves(benches)
-        if charts:
-            sections.append("<h2>Serving load sweep (ext_serving)</h2>")
-            sections.extend(charts)
-    if slo is not None:
-        panels = slo_panel(slo)
-        if panels:
-            sections.append("<h2>SLO windows (ext_reqtrace)</h2>")
-            sections.extend(panels)
-    if summary is not None:
-        benches = summary.get("benches", {})
         sections.append("<h2>Bench runs</h2>")
         sections.append(summary_table(benches))
     if not sections:
@@ -426,67 +308,19 @@ def self_test() -> int:
         "ext_timeseries": {"model": "LeNet-5", "git_sha": "abc123",
                            "threads": 1, "metrics": {
                                "bit_identical": 1.0, "wall_ms": 4321.0}},
-        "ext_serving": {"model": "LeNet-5", "git_sha": "abc123",
-                        "threads": 1, "metrics": {
-                            "fifo.l090.p50_cycles": 21011002.0,
-                            "fifo.l090.p99_cycles": 39021290.0,
-                            "fifo.l090.p999_cycles": 41007113.0,
-                            "fifo.l090.goodput_rps": 1087.0,
-                            "fifo.l150.p50_cycles": 35400911.0,
-                            "fifo.l150.p99_cycles": 69729940.0,
-                            "fifo.l150.p999_cycles": 72013551.0,
-                            "fifo.l150.goodput_rps": 1277.0,
-                            "sjf.l090.p99_cycles": 37030121.0,
-                            "sjf.l090.goodput_rps": 1086.0,
-                            "sjf.l150.p99_cycles": 209531368.0,
-                            "sjf.l150.goodput_rps": 1226.0,
-                            "capacity_rps": 1260.0}},
-        "ext_reqtrace": {"model": "LeNet-5", "git_sha": "abc123",
-                         "threads": 1, "metrics": {
-                             "fifo.l130.dropped_trees": 731.0,
-                             "sjf.l130.dropped_trees": 729.0,
-                             "exemplar_drops": 0.0,
-                             "windows_breached": 29.0}},
     }}
-    slo = {"schema": "nocw.slo.v1", "window_cycles": 1000000,
-           "error_budget": 0.01, "windows": [
-               {"class_id": 0, "window_start": 0, "completions": 12,
-                "sheds": 0, "max_latency_cycles": 900, "breach_mask": 0,
-                "burn_1w": 0.0, "burn_4w": 0.0, "burn_16w": 0.0,
-                "exemplar": "00000000000000aa",
-                "shed_exemplar": "0000000000000000"},
-               {"class_id": 0, "window_start": 1000000, "completions": 9,
-                "sheds": 3, "max_latency_cycles": 4100, "breach_mask": 5,
-                "burn_1w": 25.0, "burn_4w": 12.5, "burn_16w": 12.5,
-                "exemplar": "00000000000000bb",
-                "shed_exemplar": "00000000000000cc"},
-               {"class_id": 1, "window_start": 1000000, "completions": 0,
-                "sheds": 4, "max_latency_cycles": 0, "breach_mask": 4,
-                "burn_1w": 100.0, "burn_4w": 50.0, "burn_16w": 50.0,
-                "exemplar": "0000000000000000",
-                "shed_exemplar": "00000000000000dd"},
-           ]}
-    page = render(ts, summary, slo)
+    page = render(ts, summary)
 
     failures = []
-    # timeline + utilization + 3 δ charts + 2 serving charts + burn rates
-    if page.count("<svg") != 8:
-        failures.append(f"expected 8 svg blocks, got {page.count('<svg')}")
-    if page.count("<polyline") < 3 + 3 + 6 + 3:  # series/δ/serving/burn
+    # timeline + utilization + 3 δ charts
+    if page.count("<svg") != 5:
+        failures.append(f"expected 5 svg blocks, got {page.count('<svg')}")
+    if page.count("<polyline") < 3 + 3:  # series/δ
         failures.append(f"too few polylines: {page.count('<polyline')}")
     for needle in ("accel.dram_words", "noc.link_flits", "stride 2",
                    "Inference latency vs δ", "Accuracy vs δ", "lenet-5",
                    "mini-vgg", "ext_timeseries", "abc123",
-                   "Request latency percentiles vs offered load",
-                   "fifo p50", "fifo p99.9",
-                   "Goodput vs offered load", "sjf",
-                   "SLO burn rate at each window close", "16w horizon",
-                   "2 of 3 windows breached",
-                   "00000000000000bb",  # breached window, completions > 0
-                   "00000000000000dd",  # all-shed window: shed exemplar
-                   "trace drops", "1460",  # 731 + 729 + 0 summed
-                   "<td>4.321</td>",  # wall s = metrics.wall_ms / 1000
-                   "p99+goodput"):
+                   "<td>4.321</td>"):  # wall s = metrics.wall_ms / 1000
         if needle not in page:
             failures.append(f"missing from rendered page: {needle!r}")
     if "javascript" in page.lower() or "<script" in page.lower():
@@ -495,11 +329,6 @@ def self_test() -> int:
     empty = render(None, None)
     if "nothing to render" not in empty:
         failures.append("empty-input page missing placeholder")
-    # An slo doc with no windows adds no section.
-    no_windows = render(None, None, {"schema": "nocw.slo.v1",
-                                     "windows": []})
-    if "SLO" in no_windows:
-        failures.append("empty slo doc should render no SLO section")
     # A series with no points must not crash or emit a line.
     degenerate = render({"schema": "nocw.timeseries.v1", "series": [
         {"name": "noc.queue_depth", "unit": "flits", "stride": 1,
@@ -522,9 +351,6 @@ def main() -> int:
                     help="nocw.timeseries.v1 JSON (from ext_timeseries)")
     ap.add_argument("--summary", type=pathlib.Path,
                     help="nocw.bench_summary.v1 JSON (BENCH_summary.json)")
-    ap.add_argument("--slo", type=pathlib.Path,
-                    help="nocw.slo.v1 JSON (results/slo_windows.json from "
-                         "ext_reqtrace)")
     ap.add_argument("-o", "--output", type=pathlib.Path,
                     default=pathlib.Path("dashboard.html"))
     ap.add_argument("--self-test", action="store_true")
@@ -535,11 +361,10 @@ def main() -> int:
     try:
         ts = load(args.timeseries, "nocw.timeseries.v1")
         summary = load(args.summary, "nocw.bench_summary.v1")
-        slo = load(args.slo, "nocw.slo.v1")
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"obs_dashboard: {e}", file=sys.stderr)
         return 2
-    args.output.write_text(render(ts, summary, slo), encoding="utf-8")
+    args.output.write_text(render(ts, summary), encoding="utf-8")
     print(f"obs_dashboard: wrote {args.output}")
     return 0
 

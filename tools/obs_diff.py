@@ -16,11 +16,10 @@ tools/nocw_analyze.py and DESIGN.md §10):
   informational   wall-clock and throughput numbers that vary with the host
                   machine (substrings: _ms, _ns, seconds, gflops, speedup,
                   flops). Reported, never gated.
-  lower-better    latency, energy, cycles, _j, overhead, dropped, drops,
-                  shed, burn, breach — an increase beyond tolerance is a
-                  regression (SLO burn rates, breached-window counts and
-                  trace-sampling drop counters all gate downward).
-  higher-better   accuracy, cr, bit_identical, goodput — a decrease beyond
+  lower-better    latency, energy, cycles, _j, overhead, dropped, drops —
+                  an increase beyond tolerance is a regression (dropped
+                  packets and trace-event drop counters gate downward).
+  higher-better   accuracy, cr, bit_identical — a decrease beyond
                   tolerance is a regression (speedup is informational).
   neutral         everything else (counts, point totals, ratios without a
                   direction) — any drift beyond tolerance is flagged as a
@@ -54,8 +53,8 @@ import sys
 
 INFORMATIONAL = ("_ms", "_ns", "seconds", "gflops", "speedup", "flops")
 LOWER_BETTER = ("latency", "energy", "cycles", "_j", "overhead", "dropped",
-                "drops", "shed", "burn", "breach")
-HIGHER_BETTER = ("accuracy", "bit_identical", ".cr", "_cr", "goodput")
+                "drops")
+HIGHER_BETTER = ("accuracy", "bit_identical", ".cr", "_cr")
 
 
 def classify(name: str) -> str:
@@ -287,46 +286,24 @@ def self_test() -> int:
     if loaded != {"ext_timeseries": {"latency_cycles": 20015.0}}:
         failures.append(f"manifest load wrong: {loaded}")
 
-    # 9. Serving directions: goodput down and shed up are both regressions.
-    serving_doc = copy.deepcopy(base_doc)
-    serving_doc["benches"]["ext_serving"] = {
-        "model": "LeNet-5",
-        "metrics": {"sjf.l150.goodput_rps": 1226.0,
-                    "sjf.l150.shed_rate": 0.13},
-    }
-    pert = copy.deepcopy(serving_doc)
-    pert["benches"]["ext_serving"]["metrics"]["sjf.l150.goodput_rps"] *= 0.90
-    pert["benches"]["ext_serving"]["metrics"]["sjf.l150.shed_rate"] *= 1.50
-    d, _ = run(serving_doc, pert, strict=False)
-    if not any("goodput" in r for r in d.regressions):
-        failures.append(f"-10% goodput not flagged: {d.regressions}")
-    if not any("shed_rate" in r for r in d.regressions):
-        failures.append(f"+50% shed rate not flagged: {d.regressions}")
-
-    # 10. Tracing/SLO directions: more breached windows, a hotter burn rate
-    # and more sampler drops are all regressions; fewer dropped trees is an
-    # improvement (the tail sampler kept more of the tail).
-    trace_doc = copy.deepcopy(base_doc)
-    trace_doc["benches"]["ext_reqtrace"] = {
-        "model": "LeNet-5",
-        "metrics": {"slo.windows_breached": 20.0,
-                    "slo.max_burn_4w": 0.5,
-                    "traces.exemplar_drops": 4.0,
-                    "traces.dropped_trees": 700.0},
-    }
-    pert = copy.deepcopy(trace_doc)
-    m = pert["benches"]["ext_reqtrace"]["metrics"]
-    m["slo.windows_breached"] = 24.0
-    m["slo.max_burn_4w"] = 0.8
-    m["traces.exemplar_drops"] = 6.0
-    m["traces.dropped_trees"] = 500.0
-    d, _ = run(trace_doc, pert, strict=False)
-    for key in ("windows_breached", "max_burn_4w", "exemplar_drops"):
-        if not any(key in r for r in d.regressions):
-            failures.append(f"worse {key} not flagged: {d.regressions}")
-    if any("dropped_trees" in r for r in d.regressions) or not any(
-            "dropped_trees" in s for s in d.improvements):
-        failures.append(f"fewer dropped_trees misclassified: "
+    # 9. Drop counters gate downward: more dropped packets is a regression,
+    # fewer dropped trace events an improvement.
+    drop_doc = copy.deepcopy(base_doc)
+    drop_doc["benches"]["ext_fault_sweep"] = {
+        "model": "LeNet-5", "metrics": {"ber1e-03.d0.packets_dropped": 40.0}}
+    drop_doc["benches"]["ext_trace_overhead"] = {
+        "model": "LeNet-5", "metrics": {"trace_events_dropped": 100.0}}
+    pert = copy.deepcopy(drop_doc)
+    pert["benches"]["ext_fault_sweep"]["metrics"][
+        "ber1e-03.d0.packets_dropped"] = 60.0
+    pert["benches"]["ext_trace_overhead"]["metrics"][
+        "trace_events_dropped"] = 50.0
+    d, _ = run(drop_doc, pert, strict=False)
+    if not any("packets_dropped" in r for r in d.regressions):
+        failures.append(f"more dropped packets not flagged: {d.regressions}")
+    if any("trace_events_dropped" in r for r in d.regressions) or not any(
+            "trace_events_dropped" in s for s in d.improvements):
+        failures.append(f"fewer trace_events_dropped misclassified: "
                         f"{d.regressions} / {d.improvements}")
 
     if failures:
@@ -334,7 +311,7 @@ def self_test() -> int:
         for f in failures:
             print(f"  {f}")
         return 1
-    print("obs_diff self-test passed: 10 scenarios")
+    print("obs_diff self-test passed: 9 scenarios")
     return 0
 
 
